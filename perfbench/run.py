@@ -29,12 +29,13 @@ import sys  # noqa: E402
 import time  # noqa: E402
 from pathlib import Path  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 SRC = ROOT / "src"
 WORKLOADS = ("duality_small", "atoms_large", "robust_portfolio", "cli_sweep")
-SETUP_PROCESSES = 3
-TAIL_BEYOND = 10
+SETUP_PROCESSES = 5
 
 END_TO_END_UNITS = {
     "setup_s": "s",
@@ -56,14 +57,10 @@ def parse_args(argv):
 
 
 def measure_setup(workload: str, seed: int, work: Path) -> list[float]:
-    """Wall time of fresh processes that import drovar and build the inputs."""
-    times = []
-    for _ in range(SETUP_PROCESSES):
-        t0 = time.perf_counter()
-        subprocess.run([sys.executable, str(HERE / "setup_probe.py"), workload, str(seed),
-                        str(work)], check=True, stdout=subprocess.DEVNULL)
-        times.append(time.perf_counter() - t0)
-    return times
+    """Seconds that fresh processes take to import drovar and build the inputs."""
+    return [float(subprocess.run([sys.executable, str(HERE / "setup_probe.py"), workload,
+                                  str(seed), str(work)], check=True, capture_output=True,
+                                 text=True).stdout) for _ in range(SETUP_PROCESSES)]
 
 
 def drive(wl, workloads, seconds=None, count=None, rec=None, after=None):
@@ -99,17 +96,17 @@ def drive(wl, workloads, seconds=None, count=None, rec=None, after=None):
     return records
 
 
-def tail(latencies):
-    """The latency with TAIL_BEYOND samples above it, its percentile and N."""
-    xs = sorted(latencies)
-    i = max(len(xs) - TAIL_BEYOND - 1, 0)
-    return xs[i], 100.0 * (i + 1) / len(xs), len(xs)
+def tail(latencies, pct):
+    """The workload's tail percentile of the latencies (linear interpolation)
+    and how many samples lie above it."""
+    value = float(np.percentile(latencies, pct))
+    return value, sum(1 for x in latencies if x > value)
 
 
-def end_to_end(records, setup_times, in_process):
+def end_to_end(records, setup_times, in_process, tail_pct):
     lat = [r["latency"] for r in records]
     failed = sum(1 for r in records if not r["verdict"].ok)
-    tail_s, _, _ = tail(lat)
+    tail_s, _ = tail(lat, tail_pct)
     if in_process:
         rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     else:
@@ -188,7 +185,7 @@ def main(argv=None) -> int:
             records, metrics, units = traced(wl, workloads, args.seconds, work)
         else:
             records = drive(wl, workloads, seconds=args.seconds)
-            metrics = end_to_end(records, setup_times, wl.in_process)
+            metrics = end_to_end(records, setup_times, wl.in_process, wl.tail_pct)
             units = END_TO_END_UNITS
     finally:
         shutil.rmtree(work, ignore_errors=True)
@@ -198,9 +195,9 @@ def main(argv=None) -> int:
           f"{len(failures)} failed; BLAS threads capped at 1 ({', '.join(BLAS_CAP)})")
     print(f"setup_s per fresh process: {', '.join(f'{t:.3f}' for t in setup_times)}")
     if not args.trace:
-        _, pct, n = tail([r["latency"] for r in records])
-        print(f"latency_tail_ms is the p{pct:.1f} latency of {n} samples "
-              f"({min(TAIL_BEYOND, n - 1)} beyond it)")
+        _, beyond = tail([r["latency"] for r in records], wl.tail_pct)
+        print(f"latency_tail_ms is the p{wl.tail_pct:g} latency of {len(records)} samples "
+              f"({beyond} beyond it)")
     for r in failures[:10]:
         print(f"failed op {r['op']} {r['tags']}: {r['verdict'].why}")
     for name, value in metrics.items():

@@ -90,9 +90,10 @@ def main() -> int:
 
         fake = wk.Workload("fake", [wk.Op({"c": 1.0}, boom, lambda out: wk.PASS),
                                     wk.Op({"c": 1.0}, lambda: (1.001, 1.0), lambda out: wk.duality_verdict(*out, 1.0)),
-                                    wk.Op({"c": 1.0}, lambda: (1.0, 1.0), lambda out: wk.duality_verdict(*out, 1.0))])
+                                    wk.Op({"c": 1.0}, lambda: (1.0, 1.0), lambda out: wk.duality_verdict(*out, 1.0))],
+                           50.0)
         records = run.drive(fake, wk, count=3)
-        metrics = run.end_to_end(records, [1.0], in_process=True)
+        metrics = run.end_to_end(records, [1.0], True, fake.tail_pct)
         failed = sum(1 for r in records if not r["verdict"].ok)
         good = failed == 2 and abs(metrics["ok_frac"] - 1.0 / 3.0) < 1e-12
         print(f"[{'ok' if good else 'BAD'}] loop counts 2 of 3 planted failures: failed={failed}, "

@@ -97,8 +97,15 @@ class Op:
 
 @dataclass
 class Workload:
+    """`tail_pct` is the percentile reported as `latency_tail_ms`: the highest
+    one with at least 10 samples beyond it in the shortest 20-second baseline
+    run.  It is fixed per workload because a run repeats the library a whole
+    number of times, and letting the sample count move it would move the
+    tail from one instance to another."""
+
     name: str
     ops: list[Op]
+    tail_pct: float
     warm_up: Callable[[], None] = lambda: None
     in_process: bool = True
     extra: dict = field(default_factory=dict)
@@ -202,7 +209,7 @@ def _warm_solves():
 def duality_small(seed: int, work: Path) -> Workload:
     draws = Draws(seed, 1)
     ops = [op for k in range(DUALITY_CYCLES) for op in _duality_cycle(draws, k)]
-    return Workload("duality_small", ops, warm_up=_warm_solves)
+    return Workload("duality_small", ops, 93.0, warm_up=_warm_solves)
 
 
 # ---------------------------------------------------------------------------
@@ -248,7 +255,7 @@ def atoms_large(seed: int, work: Path) -> Workload:
                 cycle.append(_atoms_op(ProblemData(rho=rho, phi=phi), EmpiricalMeasure(w),
                                        name, fam, eta))
         ops += draws.shuffled(cycle)
-    return Workload("atoms_large", ops, warm_up=_warm_solves)
+    return Workload("atoms_large", ops, 77.0, warm_up=_warm_solves)
 
 
 # ---------------------------------------------------------------------------
@@ -310,7 +317,7 @@ def robust_portfolio(seed: int, work: Path) -> Workload:
                 scen = ScenarioMatrix(rows=rows, weights=EmpiricalMeasure(w / w.sum()))
                 cycle.append(_robust_op(scen, constraint, name, fam))
         ops += draws.shuffled(cycle)
-    return Workload("robust_portfolio", ops, warm_up=_warm_solves)
+    return Workload("robust_portfolio", ops, 58.0, warm_up=_warm_solves)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +413,7 @@ def cli_sweep(seed: int, work: Path) -> Workload:
 
             ops.append(Op({"kind": kind, "args": args, "c": 1.0}, run, check))
     ops = Draws(seed, 4).shuffled(ops)
-    return Workload("cli_sweep", ops, in_process=False,
+    return Workload("cli_sweep", ops, 58.0, in_process=False,
                     extra={"state": state})
 
 
