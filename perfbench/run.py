@@ -36,6 +36,9 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 WORKLOADS = ("duality_small", "atoms_large", "robust_portfolio", "cli_sweep")
 SETUP_PROCESSES = 5
+# An untraced run repeats the library at least this often, so each
+# operation's latency is a median over at least three repeats.
+MIN_PASSES = 3
 
 END_TO_END_UNITS = {
     "setup_s": "s",
@@ -63,17 +66,18 @@ def measure_setup(workload: str, seed: int, work: Path) -> list[float]:
                                  text=True).stdout) for _ in range(SETUP_PROCESSES)]
 
 
-def drive(wl, workloads, seconds=None, count=None, rec=None, after=None):
+def drive(wl, workloads, seconds=None, count=None, rec=None, after=None, min_passes=1):
     """Closed loop over the workload's operations: the next operation starts
     when the previous one has returned and been checked.  Runs whole passes
-    over the library until `seconds` have passed, so every run has the same
-    mix; or exactly `count` operations."""
+    over the library, at least `min_passes` of them, until `seconds` have
+    passed, so every run has the same mix; or exactly `count` operations."""
     records = []
     start = time.perf_counter()
     k = 0
+    n = len(wl.ops)
     while (k < count) if count is not None else (
-            k % len(wl.ops) or time.perf_counter() - start < seconds):
-        op = wl.ops[k % len(wl.ops)]
+            k % n or k < min_passes * n or time.perf_counter() - start < seconds):
+        op = wl.ops[k % n]
         if rec is not None:
             rec.op = k
         t0 = time.perf_counter()
@@ -90,31 +94,44 @@ def drive(wl, workloads, seconds=None, count=None, rec=None, after=None):
             verdict = workloads.Verdict(False, False, f"raised {error!r}")
         else:
             verdict = op.check(out)
-        records.append({"op": k, "tags": op.tags, "latency": latency, "verdict": verdict,
-                        "rss_kb": getattr(out, "maxrss_kb", 0)})
+        records.append({"op": k, "slot": k % n, "tags": op.tags, "latency": latency,
+                        "verdict": verdict, "rss_kb": getattr(out, "maxrss_kb", 0)})
         k += 1
     return records
 
 
+def op_medians(records):
+    """Each library operation's median latency over the passes of a run, so
+    that one repeat caught in a slow spell of the shared host does not move
+    the median latency."""
+    by_slot = {}
+    for r in records:
+        by_slot.setdefault(r["slot"], []).append(r["latency"])
+    return [statistics.median(lat) for lat in by_slot.values()]
+
+
 def tail(latencies, pct):
-    """The workload's tail percentile of the latencies (linear interpolation)
-    and how many samples lie above it."""
-    value = float(np.percentile(latencies, pct))
-    return value, sum(1 for x in latencies if x > value)
+    """Mean of the latencies beyond the workload's tail percentile, and how
+    many there are.  A single high percentile of a few hundred samples jumps
+    between operations whose latencies lie far apart whenever the host slows
+    a few repeats; the mean of the samples beyond it moves with them."""
+    cut = float(np.percentile(latencies, pct))
+    beyond = [x for x in latencies if x > cut] or [cut]
+    return statistics.fmean(beyond), len(beyond)
 
 
-def end_to_end(records, setup_times, in_process, tail_pct):
+def end_to_end(records, setup_times, wl):
     lat = [r["latency"] for r in records]
     failed = sum(1 for r in records if not r["verdict"].ok)
-    tail_s, _ = tail(lat, tail_pct)
-    if in_process:
+    tail_s, _ = tail(lat, wl.tail_pct)
+    if wl.in_process:
         rss_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     else:
         rss_kb = max(r["rss_kb"] for r in records)
     return {
         "setup_s": statistics.median(setup_times),
         "throughput_ops_s": len(lat) / sum(lat),
-        "latency_p50_ms": 1e3 * statistics.median(lat),
+        "latency_p50_ms": 1e3 * statistics.median(op_medians(records)),
         "latency_tail_ms": 1e3 * tail_s,
         "ok_frac": 1.0 - failed / len(lat),
         "peak_rss_mb": rss_kb / 1024.0,
@@ -184,8 +201,8 @@ def main(argv=None) -> int:
         if args.trace:
             records, metrics, units = traced(wl, workloads, args.seconds, work)
         else:
-            records = drive(wl, workloads, seconds=args.seconds)
-            metrics = end_to_end(records, setup_times, wl.in_process, wl.tail_pct)
+            records = drive(wl, workloads, seconds=args.seconds, min_passes=MIN_PASSES)
+            metrics = end_to_end(records, setup_times, wl)
             units = END_TO_END_UNITS
     finally:
         shutil.rmtree(work, ignore_errors=True)
@@ -195,9 +212,12 @@ def main(argv=None) -> int:
           f"{len(failures)} failed; BLAS threads capped at 1 ({', '.join(BLAS_CAP)})")
     print(f"setup_s per fresh process: {', '.join(f'{t:.3f}' for t in setup_times)}")
     if not args.trace:
-        _, beyond = tail([r["latency"] for r in records], wl.tail_pct)
-        print(f"latency_tail_ms is the p{wl.tail_pct:g} latency of {len(records)} samples "
-              f"({beyond} beyond it)")
+        lat = [r["latency"] for r in records]
+        _, beyond = tail(lat, wl.tail_pct)
+        print(f"latency_tail_ms is the mean of the {beyond} of {len(records)} latencies "
+              f"beyond their p{wl.tail_pct:g} ({1e3 * np.percentile(lat, wl.tail_pct):.1f} ms); "
+              f"latency_p50_ms is the median of {len(wl.ops)} per-operation medians over "
+              f"{len(records) // len(wl.ops)} passes")
     for r in failures[:10]:
         print(f"failed op {r['op']} {r['tags']}: {r['verdict'].why}")
     for name, value in metrics.items():

@@ -93,7 +93,7 @@ def main() -> int:
                                     wk.Op({"c": 1.0}, lambda: (1.0, 1.0), lambda out: wk.duality_verdict(*out, 1.0))],
                            50.0)
         records = run.drive(fake, wk, count=3)
-        metrics = run.end_to_end(records, [1.0], True, fake.tail_pct)
+        metrics = run.end_to_end(records, [1.0], fake)
         failed = sum(1 for r in records if not r["verdict"].ok)
         good = failed == 2 and abs(metrics["ok_frac"] - 1.0 / 3.0) < 1e-12
         print(f"[{'ok' if good else 'BAD'}] loop counts 2 of 3 planted failures: failed={failed}, "

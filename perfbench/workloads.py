@@ -97,11 +97,11 @@ class Op:
 
 @dataclass
 class Workload:
-    """`tail_pct` is the percentile reported as `latency_tail_ms`: the highest
-    one with at least 10 samples beyond it in the shortest 20-second baseline
-    run.  It is fixed per workload because a run repeats the library a whole
-    number of times, and letting the sample count move it would move the
-    tail from one instance to another."""
+    """`latency_tail_ms` is the mean of the latencies beyond `tail_pct`: the
+    highest percentile with at least 10 samples beyond it in the shortest
+    20-second baseline run.  It is fixed per workload because a run repeats
+    the library a whole number of times, and letting the sample count move it
+    would move the tail from one instance to another."""
 
     name: str
     ops: list[Op]
