@@ -41,7 +41,8 @@ _ORACLE_GAP_TOL = 1e-4
 
 
 def _fmt_float(x: float) -> str:
-    assert not math.isnan(x), "NaN has no JSON encoding here"
+    if math.isnan(x):
+        raise ValueError("NaN has no JSON encoding here")
     if math.isinf(x):
         return "1e999" if x > 0 else "-1e999"
     if x == 0.0:

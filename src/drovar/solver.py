@@ -1,121 +1,115 @@
-"""Multistart solver for the dual bound problems.
+"""Nested 1-D solver for the dual bound problems.
 
-Each start runs L-BFGS-B in the reparameterized coordinates (s, beta, nu),
-s = log(lam), so the lam > 0 constraint becomes a box bound at the floor;
-a projected-gradient finisher with Armijo backtracking then classifies the
-endpoint (and walks the boundary cases down to the floor).  Families with
-nonsmooth or walled objectives (the alpha family) get a cyclic coordinate
-search as a fallback whenever the gradient step stalls.  Family-specific
-reductions cut the dimension:
+The primal objective is concave in Q over a convex compact ball, so by Sion's
+theorem
 
-    kl            2-d over (s, nu); beta recovered in closed form
-    alpha in (0,1) 2-d over (beta, nu); lam recovered in closed form
-    otherwise     3-d over (s, beta, nu)
+    sup_Q E_Q[rho] + Var_Q[phi] = min_nu F(nu),  F(nu) = nu^2/4 + M_f(psi - nu*phi),
 
-Termination statuses:
+with psi = rho + phi^2 and M_f(u) = sup { E_Q[u] : D_f(Q, P) <= eta } the
+worst-case mean.  F is 1/2-strongly convex; by Danskin's theorem its
+derivative is G(nu) = nu/2 - E_{Q*}[phi], Q* the worst case of M_f, so G is
+increasing and its root lies in [2 min phi, 2 max phi].  The outer loop finds
+that root by safeguarded Newton steps, with G' from the curvature of M_f.
+Each outer step computes M_f by one monotone 1-D root per family
+(dual_core's worst-case mean kernels), warm-started from the previous outer
+iterate of the same solve.  Every evaluated F is a certified dual value.
 
-    Converged       gradient sup-norm <= grad_tol in the solve coordinates
-                    (for the s coordinate also |dJ/dlam| <= 1e-6, so a
-                    vanishing reparameterized gradient at tiny lam is not
-                    mistaken for stationarity)
-    BoundaryLambda  the infimum is approached as lam -> 0: the iterate
-                    pinned at lambda_floor with dJ/dlam still positive
-    MaxIters        the iteration budget ran out, or progress stalled,
-                    before the gradient criterion was met
+parameterization="generic" keeps the outer loop and swaps the inner step:
+it minimizes lam*eta + beta + lam*E_P[f*((u - beta)/lam)] by two nested
+secant roots on conj_eval and conj_deriv alone, with no closed form, so it
+cross-checks the family kernels.
+
+Every stopping test is relative to the instance's own scale: |G| to the range
+of phi, the inner roots to eta or to their dimensionless derivative.  The
+statuses:
+
+    Converged       |G(nu)| <= grad_tol * (max phi - min phi)
+    BoundaryLambda  the ball holds P restricted to A = argmax u at the final
+                    nu, so M_f(u) = max u is the lam -> 0 limit of the dual;
+                    or the outer bracket closed on a jump of G, a kink of F
+                    where atoms of u tie
+    MaxIters        max_iters root steps, outer plus inner, ran out
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _smooth_minimize
-from scipy.optimize import minimize_scalar as _line_minimize
 
-from .divergences import KL, FDivergenceFamily, conj_deriv, conj_eval
+from .divergences import KL, FDivergenceFamily
 from .dual_core import (
-    SQUARE_PAIR,
+    ROOT,
+    SPENT,
+    Budget,
     Diagnostics,
     DualPoint,
     TiltResult,
-    _alpha_gradient,
-    _alpha_objective,
-    _general_objective,
-    _kl_gradient,
-    _kl_log_mean,
-    _kl_objective,
-    alpha_inner_lambda,
+    _alpha01_mean,
+    _alpha_mean,
+    _curvature,
+    _general_mean,
+    _kl_mean,
+    _payoff,
+    _root,
+    _wall_beta,
     check_eta,
-    dual_objective_variance,
     kl_optimal_beta,
     optimality_diagnostics,
     tilt,
 )
-# perfbench/spans.py times the solver's dual-core calls by rebinding these
-# names in this module, so they stay importable from here.
+# perfbench/spans.py wraps these names in this module to time the dual-core
+# layer, so they stay importable from here although the nested solve no
+# longer calls most of them.
 from .dual_core import (  # noqa: F401
+    alpha_inner_lambda,
     alpha_reduced_gradient,
     alpha_reduced_objective,
+    dual_objective_variance,
+    gradient_variance,
     kl_reduced_gradient,
     kl_reduced_objective,
 )
-from .errors import DerivativeUnavailable, InfeasibleStartError, ValidationError
+from .divergences import conj_deriv, conj_eval  # noqa: F401
+from .errors import ValidationError
 from .measures import EmpiricalMeasure, ProblemData, check_lengths
+
+# Kept for perfbench/spans.py, which wraps this name as the old generic
+# path's gradient kernel; nothing calls it.
+_capped_gradient = gradient_variance
 
 CONVERGED = "Converged"
 BOUNDARY_LAMBDA = "BoundaryLambda"
 MAX_ITERS = "MaxIters"
 
-_ARMIJO_C = 1e-4
-_SHRINK = 0.5
-_T_MAX = 1e12
-_T_MIN = 1e-18
-_S_MAX = 700.0
-_RAW_DLAM_TOL = 1e-6
-_COORD_STEP0 = 0.1
-_COORD_STEP_MIN = 1e-10
-_TINY_STREAK_LIMIT = 8
-_DERIV_CAP = 1e300
-_INFEASIBLE_PLATEAU = 1e100
-_QN_ROUNDS = 3
-_FINISH_CAP = 200
+# The inner roots stop three decades inside the outer tolerance, so their
+# error does not move G by more than a small share of grad_tol.
+_INNER_TOL_RATIO = 1e-3
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     grad_tol: float = 1e-9
-    rel_tol: float = 1e-12
     max_iters: int = 10000
     lambda_floor: float = 1e-12
-    multistart_count: int = 5
 
     def __post_init__(self):
         if not (0.0 < self.grad_tol < 1e-3):
             raise ValidationError(f"grad_tol must lie in (0, 1e-3), got {self.grad_tol!r}")
-        if not (0.0 < self.rel_tol < 1.0):
-            raise ValidationError(f"rel_tol must lie in (0, 1), got {self.rel_tol!r}")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be at least 1")
         if not (0.0 < self.lambda_floor < 1e-6):
             raise ValidationError(
                 f"lambda_floor must lie in (0, 1e-6), got {self.lambda_floor!r}"
             )
-        if self.multistart_count < 1:
-            raise ValidationError("multistart_count must be at least 1")
-
-
-@dataclass(frozen=True)
-class MinimizeResult:
-    point: DualPoint
-    value: float
-    status: str
-    iterations: int
 
 
 @dataclass(frozen=True)
 class BoundResult:
-    """A solved bound: value, certificate point, worst-case weights, diagnostics."""
+    """A solved bound: value, certificate point, worst-case weights, diagnostics.
+
+    iterations counts root steps, outer (nu) plus inner (the worst-case mean).
+    """
 
     value: float
     dual_point: DualPoint
@@ -125,581 +119,29 @@ class BoundResult:
     iterations: int
 
 
-@dataclass
-class _Outcome:
-    x: np.ndarray
-    value: float
-    converged: bool
-    pinned: bool
-    iterations: int
-
-
-def _coordinate_search(value_fn, x, f, s_index, floor_s):
-    """Cyclic coordinate descent with shrinking steps.
-
-    Accepts only decreases that clear rounding noise, and caps the number of
-    sweeps so sequences of one-ulp improvements cannot spin forever.
-    """
-    x = x.copy()
-    improved = False
-    step = _COORD_STEP0
-    sweeps = 0
-    while step >= _COORD_STEP_MIN and sweeps < 1000:
-        sweeps += 1
-        moved = False
-        for i in range(x.size):
-            for sign in (1.0, -1.0):
-                xn = x.copy()
-                xn[i] += sign * step
-                if s_index is not None and i == s_index and xn[i] < floor_s:
-                    xn[i] = floor_s
-                fn = value_fn(xn)
-                if math.isfinite(fn) and fn < f - 1e-15 * (1.0 + abs(f)):
-                    x, f = xn, fn
-                    moved = True
-                    improved = True
-        if not moved:
-            step *= _SHRINK
-    return x, f, improved
-
-
-def _convergence_state(g, x, s_index, cfg, floor_s):
-    """Component satisfaction of the gradient criterion plus boundary pinning."""
-    sat = np.abs(g) <= cfg.grad_tol
-    pinned = False
-    if s_index is not None:
-        lam = math.exp(x[s_index])
-        raw = g[s_index] / lam
-        at_floor = x[s_index] <= floor_s + 1e-12
-        pinned = at_floor and raw > cfg.grad_tol
-        if pinned:
-            sat[s_index] = True
-        else:
-            sat[s_index] = sat[s_index] and abs(raw) <= _RAW_DLAM_TOL
-    return sat, pinned
-
-
-def _quasi_newton_phase(value_fn, grad_fn, x, f, cfg, s_index, floor_s):
-    """L-BFGS-B rounds that do the bulk of the minimization.
-
-    Infeasible trial points are fed back as a large finite plateau so the
-    line search backtracks into the domain; a restart after an abnormal
-    stop gives the Hessian approximation a second chance.  Classifying the
-    endpoint is the caller's job.
-    """
-    bounds = [(None, None)] * x.size
-    if s_index is not None:
-        bounds[s_index] = (floor_s, _S_MAX)
-    gtol = min(0.1 * cfg.grad_tol, 1e-10)
-
-    def fg(z):
-        fz = value_fn(z)
-        if not math.isfinite(fz):
-            return _INFEASIBLE_PLATEAU, np.zeros_like(z)
-        gz = np.asarray(grad_fn(z), dtype=float)
-        return fz, np.nan_to_num(gz, nan=0.0, posinf=_DERIV_CAP, neginf=-_DERIV_CAP)
-
-    total = 0
-    for _ in range(_QN_ROUNDS):
-        res = _smooth_minimize(
-            fg, x, jac=True, method="L-BFGS-B", bounds=bounds,
-            options={"maxiter": cfg.max_iters, "ftol": 0.0, "gtol": gtol,
-                     "maxls": 60},
-        )
-        total += max(int(res.nit), 1)
-        moved = bool(np.any(res.x != x))
-        if float(res.fun) <= f and math.isfinite(value_fn(res.x)):
-            x, f = res.x.copy(), float(res.fun)
-        if not moved or res.status == 0:
-            break
-    return x, f, total
-
-
-def _newton_polish(value_fn, grad_fn, x, f, cfg, s_index, floor_s):
-    """Finite-difference Newton steps on the gradient system.
-
-    Line-search methods stall above grad_tol when the value surface is flat
-    to machine precision, and they crawl in the curved, badly conditioned
-    valley the full parameterization develops for alpha < 1; damped Newton
-    steps close both kinds of stall.  Steps that raise the value beyond
-    rounding slack are rejected.
-    """
-    slack = 64.0 * np.finfo(float).eps
-    n = x.size
-    for _ in range(25):
-        g = np.asarray(grad_fn(x), dtype=float)
-        if not np.all(np.isfinite(g)) or float(np.max(np.abs(g))) <= 0.01 * cfg.grad_tol:
-            break
-        hess = np.empty((n, n))
-        for i in range(n):
-            h = 1e-6 * max(abs(x[i]), 1.0)
-            xp = x.copy()
-            xp[i] += h
-            xm = x.copy()
-            xm[i] -= h
-            gp = np.asarray(grad_fn(xp), dtype=float)
-            gm = np.asarray(grad_fn(xm), dtype=float)
-            hess[:, i] = (gp - gm) / (2.0 * h)
-        hess = 0.5 * (hess + hess.T)
-        if not np.all(np.isfinite(hess)):
-            break
-        try:
-            d = np.linalg.solve(hess, -g)
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(d)):
-            break
-        accepted = False
-        for _ in range(20):
-            xn = x + d
-            if s_index is not None and xn[s_index] < floor_s:
-                xn[s_index] = floor_s
-            fn = value_fn(xn)
-            if math.isfinite(fn) and fn <= f + slack * (1.0 + abs(f)):
-                x, f = xn, fn
-                accepted = True
-                break
-            d = 0.5 * d
-        if not accepted:
-            break
-    return x, f
-
-
-def _descend(value_fn, grad_fn, x0, cfg, s_index=None, coord_polish=False):
-    """Quasi-Newton descent plus a classifying gradient-descent finisher.
-
-    Returns None when x0 is infeasible.  Overflow in trial steps, and
-    conjugate powers at arguments outside dom f*, are part of normal operation
-    (extended-real objectives), so their warnings are off.
-    """
-    with np.errstate(all="ignore"):
-        return _descend_impl(value_fn, grad_fn, x0, cfg, s_index, coord_polish)
-
-
-def _descend_impl(value_fn, grad_fn, x0, cfg, s_index, coord_polish):
-    floor_s = math.log(cfg.lambda_floor)
-    x = np.asarray(x0, dtype=float).copy()
-    if s_index is not None and x[s_index] < floor_s:
-        x[s_index] = floor_s
-    f = value_fn(x)
-    if not math.isfinite(f):
-        return None
-    x, f, it = _quasi_newton_phase(value_fn, grad_fn, x, f, cfg, s_index, floor_s)
-    it = min(it, cfg.max_iters - 1)
-    # The gradient loop is a finisher: it classifies the quasi-Newton endpoint,
-    # walks boundary iterates to the floor, and hands stalls to the polishers.
-    # Anything it cannot settle within a couple hundred steps is a stall.
-    budget = min(cfg.max_iters, it + _FINISH_CAP)
-    best_x, best_f = x.copy(), f
-    t = 1.0
-    tiny_streak = 0
-    converged = False
-    pinned_exit = False
-    while it < budget:
-        it += 1
-        g = np.asarray(grad_fn(x), dtype=float)
-        sat, pinned = _convergence_state(g, x, s_index, cfg, floor_s)
-        if sat.all():
-            converged = not pinned
-            pinned_exit = pinned
-            break
-        d = -g
-        if s_index is not None and x[s_index] <= floor_s + 1e-12:
-            d[s_index] = max(d[s_index], 0.0)
-        gd = float(np.dot(g, d))
-        accepted = False
-        decrease = 0.0
-        if gd < 0.0:
-            tt = t
-            while tt >= _T_MIN:
-                xn = x + tt * d
-                if s_index is not None and xn[s_index] < floor_s:
-                    xn[s_index] = floor_s
-                delta = xn - x
-                if not np.any(delta != 0.0):
-                    break
-                fn = value_fn(xn)
-                if math.isfinite(fn) and fn <= f + _ARMIJO_C * float(np.dot(g, delta)):
-                    decrease = f - fn
-                    x, f = xn, fn
-                    t = min(tt * 2.0, _T_MAX)
-                    accepted = True
-                    break
-                tt *= _SHRINK
-        if accepted:
-            if f < best_f:
-                best_f, best_x = f, x.copy()
-            if decrease <= cfg.rel_tol * (1.0 + abs(f)):
-                tiny_streak += 1
-            else:
-                tiny_streak = 0
-            if tiny_streak < _TINY_STREAK_LIMIT:
-                continue
-        # No useful gradient progress: try the derivative-free fallback once,
-        # then either resume or classify the final point.
-        moved = False
-        if coord_polish:
-            x, f, moved = _coordinate_search(value_fn, x, f, s_index, floor_s)
-            if f < best_f:
-                best_f, best_x = f, x.copy()
-        tiny_streak = 0
-        if moved:
-            t = 1.0
-            continue
-        g = np.asarray(grad_fn(x), dtype=float)
-        sat, pinned = _convergence_state(g, x, s_index, cfg, floor_s)
-        converged = bool(sat.all()) and not pinned
-        pinned_exit = bool(sat.all()) and pinned
-        break
-    if not converged and not pinned_exit:
-        xq, fq = _newton_polish(value_fn, grad_fn, best_x.copy(), best_f, cfg,
-                                s_index, floor_s)
-        # keep any value improvement even when the criterion stays unmet: the
-        # polished point is a valid dual point and never worse than the stall
-        if fq <= best_f + 1e-12 * (1.0 + abs(best_f)):
-            best_x, best_f = xq, fq
-            g = np.asarray(grad_fn(xq), dtype=float)
-            sat, pinned = _convergence_state(g, xq, s_index, cfg, floor_s)
-            if sat.all():
-                converged = not pinned
-                pinned_exit = pinned
-    if s_index is not None and not converged and not pinned_exit:
-        # The reparameterized s-gradient lam*dJ/dlam vanishes as lam -> 0, so a
-        # boundary march can stall above the floor.  Probe the floor directly
-        # and reclassify there when it does at least as well.
-        x_fl = best_x.copy()
-        if x_fl[s_index] > floor_s:
-            x_fl[s_index] = floor_s
-            f_fl = value_fn(x_fl)
-            if math.isfinite(f_fl) and f_fl <= best_f:
-                best_x, best_f = x_fl, f_fl
-        if best_x[s_index] <= floor_s + 1e-12:
-            g = np.asarray(grad_fn(best_x), dtype=float)
-            sat, pinned = _convergence_state(g, best_x, s_index, cfg, floor_s)
-            converged = bool(sat.all()) and not pinned
-            pinned_exit = bool(sat.all()) and pinned
-    return _Outcome(x=best_x, value=best_f, converged=converged,
-                    pinned=pinned_exit, iterations=it)
-
-
-def _status_of(outcome: _Outcome) -> str:
-    if outcome.pinned:
-        return BOUNDARY_LAMBDA
-    if outcome.converged:
-        return CONVERGED
-    return MAX_ITERS
-
-
-def _best_outcome(outcomes):
-    """Lowest value wins; among value-ties (to rounding) prefer a classified
-    outcome, since a satisfied gradient criterion certifies the convex
-    minimum while a stalled iterate does not."""
-    best = None
-    for out in outcomes:
-        if out is None:
-            continue
-        if best is None or out.value < best.value:
-            best = out
-    if best is not None:
-        slack = 1e-9 * (1.0 + abs(best.value))
-        for out in outcomes:
-            if out is None or out is best or not (out.converged or out.pinned):
-                continue
-            if out.value <= best.value + slack and not (best.converged or best.pinned):
-                best = out
-                break
-    return best
-
-
-def _classified(out) -> bool:
-    return out is not None and (out.converged or out.pinned)
-
-
-def _multistart(value_fn, grad_fn, x0s, cfg, s_index, coord_polish,
-                stall_probe, what):
-    """Descend from each start in turn; the best final value wins, ties broken
-    by the lowest start index.
-
-    A start that meets the gradient criterion ends the search (the objective
-    is convex, so the criterion certifies the global minimum); so does a
-    stalled start that stall_probe(x, value) recognizes.  Raises
-    InfeasibleStartError when the objective is +inf at every start.
-    """
-    outcomes = []
-    for x0 in x0s:
-        out = _descend(value_fn, grad_fn, x0, cfg, s_index=s_index,
-                       coord_polish=coord_polish)
-        outcomes.append(out)
-        if _classified(out):
-            break
-        if (out is not None and stall_probe is not None
-                and stall_probe(out.x, out.value)):
-            break
-    best = _best_outcome(outcomes)
-    if best is None:
-        raise InfeasibleStartError(f"{what} is +inf at every start point")
-    return best
-
-
-def minimize_dual(value_fn, grad_fn, starts, config: SolverConfig | None = None,
-                  coord_polish: bool = True, stall_probe=None) -> MinimizeResult:
-    """Minimize an extended-real dual objective over DualPoint space.
-
-    value_fn maps a DualPoint to a float (+inf allowed); grad_fn returns
-    (d/dlam, d/dbeta, d/dnu) at finite points.  Each start in `starts` is a
-    DualPoint; the best final value wins, ties broken by the lowest start
-    index.  Raises InfeasibleStartError when the objective is +inf at every
-    start.
-
-    stall_probe, when given, is called as stall_probe(x, value) on a start
-    that stops without meeting the gradient criterion; returning True means
-    the caller recognizes the point (e.g. the lambda -> 0 wall has been
-    reached), so the remaining starts are skipped.
-    """
-    cfg = config or SolverConfig()
-    starts = list(starts)
-    if not starts:
-        raise ValidationError("need at least one start point")
-
-    def val_at(x):
-        if not np.all(np.isfinite(x)) or x[0] > _S_MAX:
-            return math.inf
-        return value_fn(DualPoint(math.exp(x[0]), x[1], x[2]))
-
-    def grad_at(x):
-        dp = DualPoint(math.exp(x[0]), x[1], x[2])
-        d_lam, d_beta, d_nu = grad_fn(dp)
-        return np.array([dp.lam * d_lam, d_beta, d_nu])
-
-    x0s = [np.array([math.log(dp0.lam), dp0.beta, dp0.nu]) for dp0 in starts]
-    best = _multistart(val_at, grad_at, x0s, cfg, 0, coord_polish, stall_probe,
-                       "dual objective")
-    return MinimizeResult(point=_full_point(best.x, cfg), value=best.value,
-                          status=_status_of(best), iterations=best.iterations)
-
-
-def _full_point(x, cfg: SolverConfig) -> DualPoint:
-    """The DualPoint of solve coordinates (s, beta, nu), lam clamped to the floor."""
-    return DualPoint(max(math.exp(x[0]), cfg.lambda_floor), x[1], x[2])
-
-
-def _ladder(count: int) -> list[float]:
-    exps = [-1, 0, 1]
-    k = 2
-    while len(exps) < count:
-        exps.append(-k)
-        if len(exps) < count:
-            exps.append(k)
-        k += 1
-    return [10.0**e for e in exps[:count]]
-
-
-def _start_moments(psi, phi, w):
-    mean_psi = float(np.dot(w, psi))
-    scale = max(float(math.sqrt(np.dot(w, (psi - mean_psi) ** 2))), 1.0)
-    nu0 = 2.0 * float(np.dot(w, phi))
-    beta0 = float(np.dot(w, psi - nu0 * phi))
-    return scale, nu0, beta0
-
-
-def _finite_list(x):
-    """The solve coordinates x as a list of floats, or None when one is
-    nan or infinite."""
-    xs = x.tolist()
-    return xs if all(map(math.isfinite, xs)) else None
-
-
-def _capped_gradient(x, psi, phi, w, family: FDivergenceFamily, eta: float):
-    """Gradient of the full dual in the solve coordinates (s, beta, nu),
-    with overflow capped instead of raised.
-
-    Used only inside descent, where a correctly signed, magnitude-capped
-    gradient keeps the line search moving out of extreme regions.
-    """
-    lam, beta, nu = math.exp(x[0]), x[1], x[2]
-    args = (psi - nu * phi - beta) / lam
-    if family.kind == KL:
-        L = _kl_log_mean(args, w)
-        base = math.exp(min(L - 1.0, 700.0))
-        omega = np.exp(np.log(w) + args - L)
-        e_f = e_d = base
-        e_da = base * float(np.dot(omega, args))
-        e_dphi = base * float(np.dot(omega, phi))
-    else:
-        fv = np.minimum(conj_eval(family, args), _DERIV_CAP)
-        dv = np.minimum(conj_deriv(family, args), _DERIV_CAP)
-        e_f = float(np.dot(w, fv))
-        e_d = float(np.dot(w, dv))
-        e_da = float(np.dot(w, dv * args))
-        e_dphi = float(np.dot(w, dv * phi))
-    return np.array([lam * (eta + e_f - e_da), 1.0 - e_d, nu / 2.0 - e_dphi])
-
-
-def _solve_kl_reduced(data, p, family, eta, cfg):
-    psi, phi, w = data.psi, data.phi, p.weights
-    scale, nu0, _ = _start_moments(psi, phi, w)
-
-    def val(x):
-        xs = _finite_list(x)
-        if xs is None or xs[0] > _S_MAX:
-            return math.inf
-        return _kl_objective(math.exp(xs[0]), xs[1], psi, phi, w, eta)
-
-    def grad(x):
-        lam = math.exp(x[0])
-        d_lam, d_nu = _kl_gradient(lam, x[1], psi, phi, w, eta)
-        return np.array([lam * d_lam, d_nu])
-
-    x0s = [np.array([math.log(lam0 * scale), nu0])
-           for lam0 in _ladder(cfg.multistart_count)]
-    best = _multistart(
-        val, grad, x0s, cfg, 0, False,
-        lambda x, f: _wall_limit_attains(psi, phi, x[1], f), "KL dual objective",
-    )
-    lam = max(math.exp(best.x[0]), cfg.lambda_floor)
-    nu = best.x[1]
-    dp = DualPoint(lam, kl_optimal_beta(lam, nu, data, p), nu)
-    status = _status_of(best)
-    if status == MAX_ITERS and _wall_limit_attains(psi, phi, nu, best.value):
-        status = BOUNDARY_LAMBDA
-    return dp, best.value, status, best.iterations
-
-
-def _wall_limit_attains(psi, phi, nu0: float, incumbent: float) -> bool:
-    """Whether the lam -> 0 limit of the dual matches the incumbent value.
-
-    For every family the dual collapses to the same max-plus limit as
-    lam -> 0 (with beta at its wall): h(nu) = nu^2/4 + max_i(psi_i - nu*phi_i),
-    a convex function of nu alone.  When its minimum agrees with the best
-    value found, the infimum sits on the lam -> 0 boundary even though the
-    iterate stalls short of the floor — typically because the optimal nu
-    seats on a kink of h, where atoms tie and the smooth gradient criterion
-    is unattainable.
-    """
-
-    def h(v):
-        return v * v / 4.0 + float(np.max(psi - v * phi))
-
-    res = _line_minimize(h, bracket=(nu0 - 1.0, nu0 + 1.0))
-    return abs(res.fun - incumbent) <= 1e-8 * (1.0 + abs(incumbent))
-
-
-def _solve_alpha_reduced(data, p, family, eta, cfg):
-    alpha = family.alpha
-    psi, phi, w = data.psi, data.phi, p.weights
-    scale, nu0, beta0 = _start_moments(psi, phi, w)
-    wall = float(np.max(psi - nu0 * phi))
-
-    def val(x):
-        xs = _finite_list(x)
-        if xs is None:
-            return math.inf
-        return _alpha_objective(xs[0], xs[1], psi, phi, w, alpha, eta)
-
-    def grad(x):
-        try:
-            return np.asarray(_alpha_gradient(x[0], x[1], psi, phi, w, family, eta))
-        except DerivativeUnavailable:
-            # lam underflowed: the objective is nu^2/4 + beta to working
-            # precision, so descend that instead.
-            return np.array([1.0, x[1] / 2.0])
-
-    x0s = [np.array([max(beta0, wall + margin * scale), nu0])
-           for margin in _ladder(cfg.multistart_count)]
-    best = _multistart(
-        val, grad, x0s, cfg, None, True,
-        lambda x, f: _wall_limit_attains(psi, phi, x[1], f), "alpha dual objective",
-    )
-    beta, nu = best.x
-    lam = alpha_inner_lambda(beta, nu, data, p, alpha, eta)
-    boundary = lam <= cfg.lambda_floor
-    if not boundary and not best.converged:
-        boundary = _wall_limit_attains(psi, phi, nu, best.value)
-    dp = DualPoint(max(lam, cfg.lambda_floor), beta, nu)
-    status = BOUNDARY_LAMBDA if boundary else _status_of(best)
-    return dp, best.value, status, best.iterations
-
-
-def _wall_probe(data, p, family, eta, nu0, cfg):
-    """Best evaluated dual value on the lam -> floor, beta -> wall boundary.
-
-    Every family's dual collapses to h(nu) = nu^2/4 + max_i(psi_i - nu*phi_i)
-    as lam -> 0 with beta pressed to the active-atom wall.  A 3-d descent
-    cannot follow that channel to working precision (each step must shrink
-    lam and beta in lockstep), so instead evaluate the true objective at
-    explicit near-wall points: the result is a certified dual value, not a
-    limit claim.
-    """
-    psi, phi = data.psi, data.phi
-
-    def h(v):
-        return v * v / 4.0 + float(np.max(psi - v * phi))
-
-    nu = float(_line_minimize(h, bracket=(nu0 - 1.0, nu0 + 1.0)).x)
-    wall = float(np.max(psi - nu * phi))
-    best_val, best_dp = math.inf, None
-    for delta in (1e-7, 1e-9, 1e-10):
-        beta = wall + delta * (1.0 + abs(wall))
-        for lam in (cfg.lambda_floor, 1e-9):
-            dp = DualPoint(lam, beta, nu)
-            val = dual_objective_variance(dp, data, p, family, eta)
-            if val < best_val:
-                best_val, best_dp = val, dp
-    return best_val, best_dp
-
-
-def _solve_generic(data, p, family, eta, cfg):
-    psi, phi, w = data.psi, data.phi, p.weights
-    scale, nu0, beta0 = _start_moments(psi, phi, w)
-    alpha_wall = None
-    if family.kind != KL and family.alpha < 1.0:
-        alpha_wall = float(np.max(psi - nu0 * phi))
-
-    def val(x):
-        xs = _finite_list(x)
-        if xs is None or xs[0] > _S_MAX:
-            return math.inf
-        s, beta, nu = xs
-        return _general_objective(math.exp(s), beta, nu, psi, phi,
-                                  SQUARE_PAIR.g_conj, w, family, eta)
-
-    def grad(x):
-        return _capped_gradient(x, psi, phi, w, family, eta)
-
-    x0s = []
-    for lam0 in _ladder(cfg.multistart_count):
-        lam = lam0 * scale
-        beta = beta0
-        if alpha_wall is not None:
-            # conjugate arguments must be strictly negative for alpha < 1
-            beta = max(beta, alpha_wall + lam)
-        x0s.append(np.array([math.log(lam), beta, nu0]))
-    best = _multistart(
-        val, grad, x0s, cfg, 0, family.kind != KL,
-        lambda x, f: _wall_limit_attains(psi, phi, x[2], f), "dual objective",
-    )
-    point, value, status = _full_point(best.x, cfg), best.value, _status_of(best)
-    if status == MAX_ITERS and _wall_limit_attains(psi, phi, point.nu, value):
-        status = BOUNDARY_LAMBDA
-    if status != CONVERGED:
-        probe_val, probe_dp = _wall_probe(data, p, family, eta, point.nu, cfg)
-        if probe_dp is not None and probe_val < value:
-            return probe_dp, probe_val, BOUNDARY_LAMBDA, best.iterations
-    return point, value, status, best.iterations
-
-
-def _resolve_mode(family: FDivergenceFamily, parameterization: str) -> str:
+def _worst_mean_kernel(family: FDivergenceFamily, parameterization: str):
     if parameterization not in ("auto", "generic"):
         raise ValidationError(
             f"parameterization must be 'auto' or 'generic', got {parameterization!r}"
         )
     if parameterization == "generic":
-        return "generic"
+        return _general_mean
     if family.kind == KL:
-        return "kl"
-    if family.alpha < 1.0:
-        return "alpha"
-    return "generic"
+        return _kl_mean
+    return _alpha_mean if family.alpha > 1.0 else _alpha01_mean
+
+
+def _dual_point(nu, u, inner, data, p, family, cfg) -> DualPoint:
+    """The full dual point behind an inner solve, with lam held at the floor
+    on the boundary and a beta there at which the tilt is finite."""
+    lam = max(inner.lam, cfg.lambda_floor)
+    if lam == inner.lam:
+        beta = inner.beta
+    elif family.kind == KL:
+        beta = kl_optimal_beta(lam, nu, data, p)
+    else:
+        beta = _wall_beta(u, p.weights, family, lam)
+    return DualPoint(lam, beta, nu)
 
 
 def variance_bound(
@@ -712,39 +154,64 @@ def variance_bound(
 ) -> BoundResult:
     """Solve the dual for sup { E_Q[rho] + Var_Q[phi] : D_f(Q,P) <= eta }.
 
-    parameterization="auto" picks the family-appropriate reduction;
-    "generic" forces the full 3-d solve (used for cross-checks).
+    parameterization="auto" computes the worst-case mean with the family's
+    closed-form reduction; "generic" solves it from the conjugate alone, for
+    cross-checks.  Both share the outer root in nu.
     """
     cfg = config or SolverConfig()
     check_lengths(data, p)
     check_eta(eta, family)
-    mode = _resolve_mode(family, parameterization)
-    if mode == "kl":
-        dp, value, status, iters = _solve_kl_reduced(data, p, family, eta, cfg)
-    elif mode == "alpha":
-        dp, value, status, iters = _solve_alpha_reduced(data, p, family, eta, cfg)
+    worst_mean = _worst_mean_kernel(family, parameterization)
+    phi, w = data.phi, p.weights
+    budget = Budget(cfg.max_iters)
+    inner_tol = _INNER_TOL_RATIO * cfg.grad_tol
+    lo, hi = 2.0 * float(phi.min()), 2.0 * float(phi.max())
+    scale = (hi - lo) / 2.0
+    start = None
+    last = best = None
+
+    def outer(nu):
+        nonlocal start, last, best
+        u = _payoff(data, nu)
+        m = worst_mean(u, w, family, eta, inner_tol, budget, start)
+        start = m.start
+        last = (nu * nu / 4.0 + m.value, nu, u, m)
+        if best is None or last[0] < best[0]:
+            best = last
+        g = nu / 2.0 - float(np.dot(m.q, phi))
+        if m.boundary:
+            return g, 0.5
+        if m.curv is None:
+            return g, None
+        weights, factor = m.curv
+        return g, 0.5 + factor * _curvature(weights, u, phi)
+
+    if lo == hi:
+        # phi is constant, so Var_Q[phi] = 0 and G vanishes at nu = 2*phi
+        outer(lo)
+        state = ROOT
     else:
-        dp, value, status, iters = _solve_generic(data, p, family, eta, cfg)
-    if status == MAX_ITERS and mode != "generic":
-        # the reduced iteration stalled short of its criterion; every dual
-        # point is a valid bound, so retry in the full 3-d coordinates and
-        # keep whichever landed lower
-        dp2, value2, status2, iters2 = _solve_generic(data, p, family, eta, cfg)
-        slack = 1e-9 * (1.0 + abs(value))
-        if value2 < value - slack or (status2 != MAX_ITERS and value2 <= value + slack):
-            dp, value, status = dp2, value2, status2
-        iters += iters2
-    t = tilt(dp, data, p, family)
-    diag = optimality_diagnostics(
-        dp, data, p, family, eta, boundary=status == BOUNDARY_LAMBDA
-    )
+        nu0 = min(max(2.0 * float(np.dot(w, phi)), lo), hi)
+        _, state = _root(outer, nu0, lo, hi, cfg.grad_tol * scale, scale, budget)
+    # at a root the last point meets the criterion; otherwise keep the lowest
+    # certified value evaluated
+    value, nu, u, inner = last if state == ROOT else best
+    if state == SPENT:
+        status = MAX_ITERS
+    elif state == ROOT and not inner.boundary:
+        status = CONVERGED
+    else:
+        status = BOUNDARY_LAMBDA
+    dp = _dual_point(nu, u, inner, data, p, family, cfg)
     return BoundResult(
         value=value,
         dual_point=dp,
-        tilt=t,
-        diagnostics=diag,
+        tilt=tilt(dp, data, p, family),
+        diagnostics=optimality_diagnostics(
+            dp, data, p, family, eta, boundary=status == BOUNDARY_LAMBDA
+        ),
         status=status,
-        iterations=iters,
+        iterations=budget.used,
     )
 
 
@@ -757,9 +224,9 @@ def mean_bound(
 ) -> BoundResult:
     """Solve the dual for sup { E_Q[values] : D_f(Q,P) <= eta }.
 
-    This is the variance problem with phi identically zero: nu starts at 0
-    and every nu-derivative vanishes there, so the solve never leaves nu = 0
-    and the mean-condition diagnostic is identically zero.
+    This is the variance problem with phi identically zero: the bracket for
+    nu collapses to 0, so one worst-case mean solve at nu = 0 settles it and
+    the mean-condition diagnostic is identically zero.
     """
     v = np.atleast_1d(np.asarray(values, dtype=float))
     data = ProblemData(rho=v, phi=np.zeros_like(v))

@@ -220,3 +220,12 @@ def test_infeasible_start_is_exit_four(bernoulli_csv, monkeypatch, capsys):
                      "--divergence", "kl", "--eta", "0.1"])
     assert code == 4
     assert "no finite start" in capsys.readouterr().err
+
+
+def test_render_json_rejects_nan():
+    # a raise, not an assert, so that python -O cannot strip it and let a
+    # bare nan into the JSON
+    with pytest.raises(ValueError):
+        cli.render_json(float("nan"))
+    with pytest.raises(ValueError):
+        cli.render_json({"bound": [1.0, float("nan")]})

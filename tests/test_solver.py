@@ -1,21 +1,29 @@
-"""Dual minimization: configuration, the generic engine, and the bound front ends."""
+"""Dual solves: configuration, the bound front ends, and the symmetries the math guarantees."""
 
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from drovar.divergences import alpha_family, kl_family
-from drovar.dual_core import DualPoint
-from drovar.errors import InfeasibleStartError, ValidationError
-from drovar.measures import EmpiricalMeasure, ProblemData, mean_var_of, uniform_measure
+from drovar.errors import ValidationError
+from drovar.measures import (
+    EmpiricalMeasure,
+    ProblemData,
+    mean_var_of,
+    normalize,
+    uniform_measure,
+)
 from drovar.solver import (
     BOUNDARY_LAMBDA,
     CONVERGED,
     MAX_ITERS,
     SolverConfig,
     mean_bound,
-    minimize_dual,
     variance_bound,
 )
 
@@ -37,10 +45,8 @@ SKEWED = EmpiricalMeasure(np.array([0.8, 0.2]))
 def test_config_defaults():
     cfg = SolverConfig()
     assert cfg.grad_tol == 1e-9
-    assert cfg.rel_tol == 1e-12
     assert cfg.max_iters == 10000
     assert cfg.lambda_floor == 1e-12
-    assert cfg.multistart_count == 5
 
 
 @pytest.mark.parametrize(
@@ -48,50 +54,14 @@ def test_config_defaults():
     [
         {"grad_tol": 0.0},
         {"grad_tol": 1e-2},
-        {"rel_tol": 0.0},
-        {"rel_tol": 1.5},
         {"max_iters": 0},
         {"lambda_floor": 0.0},
         {"lambda_floor": 1e-5},
-        {"multistart_count": 0},
     ],
 )
 def test_config_rejects(kwargs):
     with pytest.raises(ValidationError):
         SolverConfig(**kwargs)
-
-
-# ---------------------------------------------------------------------------
-# the engine on a transparent objective
-
-
-def test_minimize_dual_quadratic_smoke():
-    def val(dp):
-        return (dp.lam - 1.0) ** 2 + (dp.beta + 2.0) ** 2 + dp.nu**2
-
-    def grad(dp):
-        return 2.0 * (dp.lam - 1.0), 2.0 * (dp.beta + 2.0), 2.0 * dp.nu
-
-    res = minimize_dual(val, grad, [DualPoint(0.5, 0.0, 0.0), DualPoint(2.0, 1.0, 1.0)])
-    assert res.status == CONVERGED
-    assert res.value <= 1e-10
-    assert res.point.lam == pytest.approx(1.0, abs=1e-5)
-    assert res.point.beta == pytest.approx(-2.0, abs=1e-5)
-    assert res.point.nu == pytest.approx(0.0, abs=1e-5)
-
-
-def test_minimize_dual_needs_a_start():
-    with pytest.raises(ValidationError):
-        minimize_dual(lambda dp: 0.0, lambda dp: (0.0, 0.0, 0.0), [])
-
-
-def test_minimize_dual_all_starts_infeasible():
-    with pytest.raises(InfeasibleStartError):
-        minimize_dual(
-            lambda dp: math.inf,
-            lambda dp: (0.0, 0.0, 0.0),
-            [DualPoint(1.0, 0.0, 0.0)],
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -145,6 +115,14 @@ def test_mean_bound_of_a_constant():
     assert res.status == BOUNDARY_LAMBDA
 
 
+@pytest.mark.parametrize("fam", [KL, A2, A_HALF], ids=["kl", "alpha:2", "alpha:0.5"])
+def test_spent_budget_is_max_iters_and_still_a_bound(fam):
+    full = variance_bound(BERNOULLI, SKEWED, fam, 0.1)
+    cut = variance_bound(BERNOULLI, SKEWED, fam, 0.1, config=SolverConfig(max_iters=2))
+    assert cut.status == MAX_ITERS
+    assert cut.value >= full.value - 1e-12
+
+
 def test_variance_bound_validates_inputs():
     with pytest.raises(ValidationError):
         variance_bound(BERNOULLI, uniform_measure(3), KL, 0.1)
@@ -172,7 +150,8 @@ def test_zero_phi_reduces_to_mean_bound():
 
 
 @pytest.mark.parametrize(
-    "fam, tol", [(KL, 1e-7), (A_HALF, 1e-6)], ids=["kl", "alpha:0.5"]
+    "fam, tol", [(KL, 1e-7), (A2, 1e-6), (A_HALF, 1e-6)],
+    ids=["kl", "alpha:2", "alpha:0.5"],
 )
 def test_reduced_and_generic_parameterizations_agree(fam, tol):
     rng = np.random.default_rng(37)
@@ -235,3 +214,90 @@ def test_status_strings():
     assert CONVERGED == "Converged"
     assert BOUNDARY_LAMBDA == "BoundaryLambda"
     assert MAX_ITERS == "MaxIters"
+
+
+def test_import_pulls_in_no_scipy():
+    code = (
+        "import sys, drovar, drovar.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "[]"
+
+
+# ---------------------------------------------------------------------------
+# symmetries of the bound, on small instances drawn by hypothesis
+
+FAMILY_CASES = pytest.mark.parametrize(
+    "fam", [KL, A2, A_HALF], ids=["kl", "alpha:2", "alpha:0.5"]
+)
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
+_unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def instances(draw):
+    n = draw(st.integers(2, 6))
+    rho = np.array(draw(st.lists(_unit, min_size=n, max_size=n)))
+    phi = np.array(draw(st.lists(_unit, min_size=n, max_size=n)))
+    w = draw(st.lists(st.floats(0.1, 1.0), min_size=n, max_size=n))
+    eta = draw(st.sampled_from([0.05, 0.2, 0.5]))
+    p, _ = normalize(w)
+    return ProblemData(rho=rho, phi=phi), p, eta
+
+
+def _close(a, b, slack=0.0):
+    return abs(a - b) <= 1e-9 * (1.0 + abs(b) + slack)
+
+
+@FAMILY_CASES
+@PROPERTY_SETTINGS
+@given(inst=instances())
+def test_joint_scaling_multiplies_the_bound(fam, inst):
+    # (c*rho, sqrt(c)*phi) scales E_Q[rho] + Var_Q[phi] by c for every Q
+    data, p, eta = inst
+    base = variance_bound(data, p, fam, eta)
+    for c in (1e-6, 1e6):
+        scaled = ProblemData(rho=c * data.rho, phi=math.sqrt(c) * data.phi)
+        res = variance_bound(scaled, p, fam, eta)
+        assert _close(res.value / c, base.value)
+        assert res.status == base.status
+
+
+@FAMILY_CASES
+@PROPERTY_SETTINGS
+@given(inst=instances(), shift=st.floats(-5.0, 5.0))
+def test_shifting_rho_shifts_the_bound(fam, inst, shift):
+    data, p, eta = inst
+    base = variance_bound(data, p, fam, eta).value
+    moved = ProblemData(rho=data.rho + shift, phi=data.phi)
+    assert _close(variance_bound(moved, p, fam, eta).value, base + shift, abs(shift))
+
+
+@FAMILY_CASES
+@PROPERTY_SETTINGS
+@given(inst=instances(), seed=st.integers(0, 2**32 - 1))
+def test_permuting_atoms_keeps_the_bound(fam, inst, seed):
+    data, p, eta = inst
+    order = np.random.default_rng(seed).permutation(len(p))
+    permuted = ProblemData(rho=data.rho[order], phi=data.phi[order])
+    q = EmpiricalMeasure(p.weights[order])
+    assert _close(variance_bound(permuted, q, fam, eta).value,
+                  variance_bound(data, p, fam, eta).value)
+
+
+@FAMILY_CASES
+@PROPERTY_SETTINGS
+@given(inst=instances(), pick=st.integers(0, 5))
+def test_splitting_an_atom_keeps_the_bound(fam, inst, pick):
+    data, p, eta = inst
+    j = pick % len(p)
+    rho = np.append(data.rho, data.rho[j])
+    phi = np.append(data.phi, data.phi[j])
+    w = np.append(p.weights, p.weights[j] / 2.0)
+    w[j] /= 2.0
+    split, _ = normalize(w)
+    assert _close(variance_bound(ProblemData(rho=rho, phi=phi), split, fam, eta).value,
+                  variance_bound(data, p, fam, eta).value)
