@@ -1,0 +1,154 @@
+"""Timing and work counts for the robust outer solve and single bound solves.
+
+Uses only drovar's public API, so the same script measures any revision:
+put that revision's src/ on PYTHONPATH and give the run a label.  Each run
+writes its section into the JSON file under that label and keeps the
+sections of other labels, so two revisions land side by side in one file.
+
+    PYTHONPATH=<old>/src python scripts/bench.py --label parent
+    PYTHONPATH=src python scripts/bench.py --label change
+
+Recorded per label:
+
+- robust: for each robust_minimize instance (acceptance criterion 11, the
+  demo's four etas, four 8-asset KL boxes) the inner solves per call,
+  counted by wrapping drovar.robust.variance_bound, the median wall time in
+  ms over the repeats, and the value reached;
+- solve: the median wall time in ms of one variance_bound at n = 10, 10^3
+  and 10^5 atoms for kl, alpha:2 and alpha:0.5.
+
+BLAS is held at one thread unless the environment sets otherwise, so the
+numbers measure the code, not the host's core count.
+"""
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+
+import argparse
+import json
+import platform
+import statistics
+import time
+from pathlib import Path
+
+import numpy as np
+
+import drovar.robust as robust
+from drovar import (
+    Box,
+    EmpiricalMeasure,
+    ProblemData,
+    ScenarioMatrix,
+    kl_family,
+    parse_family,
+    uniform_measure,
+    variance_bound,
+)
+
+KL = kl_family()
+DEMO_RETURNS = np.array([
+    [1.8, 0.4],
+    [-0.9, 0.7],
+    [1.2, -0.3],
+    [0.5, 0.6],
+    [-0.2, 0.1],
+])
+DEMO_ETAS = (0.01, 0.05, 0.15, 0.4)
+SOLVE_FAMILIES = ("kl", "alpha:2", "alpha:0.5")
+SOLVE_SIZES = (10, 1_000, 100_000)
+
+
+def drifting_box(seed: int, m: int = 40, d: int = 8) -> ScenarioMatrix:
+    rng = np.random.default_rng([2026, seed])
+    rows = rng.uniform(-0.05, 0.1, d) + rng.uniform(0.1, 0.3, d) * rng.standard_normal((m, d))
+    w = rng.uniform(0.1, 1.0, m)
+    return ScenarioMatrix(rows=rows, weights=EmpiricalMeasure(w / w.sum()))
+
+
+def robust_instances():
+    """(name, scenarios, constraint, eta), all under KL."""
+    yield ("criterion11",
+           ScenarioMatrix(rows=np.array([1.5, -0.5, 0.8]), weights=uniform_measure(3)),
+           Box(lo=np.zeros(1), hi=np.ones(1)), 0.15)
+    demo = ScenarioMatrix(rows=DEMO_RETURNS, weights=uniform_measure(len(DEMO_RETURNS)))
+    for eta in DEMO_ETAS:
+        yield f"demo_eta{eta:g}", demo, Box(lo=np.zeros(2), hi=np.ones(2)), eta
+    for s in range(4):
+        yield f"box8_seed{s}", drifting_box(s), Box(lo=np.zeros(8), hi=np.ones(8)), 0.05
+
+
+def median_ms(fn, repeats: int) -> float:
+    times = []
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        times.append(time.perf_counter() - t0)
+    return statistics.median(times) * 1e3
+
+
+def bench_robust(repeats: int) -> dict:
+    inner = robust.variance_bound
+    calls = [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return inner(*args, **kwargs)
+
+    out = {}
+    for name, scen, box, eta in robust_instances():
+        robust.variance_bound = counted
+        try:
+            calls[0] = 0
+            _, value = robust.robust_minimize(scen, box, KL, eta)
+            solves = calls[0]
+        finally:
+            robust.variance_bound = inner
+        ms = median_ms(lambda: robust.robust_minimize(scen, box, KL, eta), repeats)
+        out[name] = {"inner_solves": solves, "median_ms": round(ms, 3), "value": value}
+    return out
+
+
+def bench_solves(repeats: int) -> dict:
+    out = {}
+    for n in SOLVE_SIZES:
+        rng = np.random.default_rng([4, n])
+        data = ProblemData(rho=rng.uniform(-1.0, 1.0, n), phi=rng.uniform(-1.0, 1.0, n))
+        w = rng.uniform(0.1, 1.0, n)
+        p = EmpiricalMeasure(w / w.sum())
+        for label in SOLVE_FAMILIES:
+            fam = parse_family(label)
+            variance_bound(data, p, fam, 0.1)  # warm-up
+            ms = median_ms(lambda: variance_bound(data, p, fam, 0.1), repeats)
+            out[f"{label}_n{n}"] = round(ms, 3)
+    return out
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--label", required=True, help="section name, e.g. parent or change")
+    ap.add_argument("--out", default="BENCH_4.json", help="JSON file to update")
+    ap.add_argument("--repeats", type=int, default=5, help="timed runs per median")
+    args = ap.parse_args()
+
+    section = {
+        "host": {"python": platform.python_version(), "numpy": np.__version__,
+                 "machine": platform.machine(), "cpus": os.cpu_count(),
+                 "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"])},
+        "repeats": args.repeats,
+        "robust": bench_robust(args.repeats),
+        "solve_ms": bench_solves(args.repeats),
+    }
+    path = Path(args.out)
+    doc = json.loads(path.read_text()) if path.exists() else {}
+    doc[args.label] = section
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    for name, rec in section["robust"].items():
+        print(f"{name:18s} {rec['inner_solves']:4d} solves {rec['median_ms']:9.2f} ms")
+    for name, ms in section["solve_ms"].items():
+        print(f"{name:18s} {ms:9.2f} ms")
+
+
+if __name__ == "__main__":
+    main()

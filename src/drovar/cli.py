@@ -6,14 +6,13 @@ Subcommands:
     bound-variance  worst-case mean-plus-variance objective
     sweep           bound-variance across an eta grid (JSON array; optional CSV)
     oracle-check    bound-variance cross-checked against the primal grid oracle
-    robust          outer Nelder-Mead over decisions (box or simplex)
+    robust          projected-gradient minimization over decisions (box or simplex)
 
 Input is CSV: columns rho, phi and optional weight for the bound subcommands;
 columns r1..rd and optional weight for robust.  Zero weights drop the atom.
 Output is JSON on stdout with floats at 12 significant digits; repeated runs
 on identical inputs are byte-identical.  Exit codes: 0 success, 2 bad
-input/config, 3 oracle gap beyond tolerance, 4 infeasible solver start,
-5 oracle size unsupported.
+input/config, 3 oracle gap beyond tolerance, 5 oracle size unsupported.
 """
 
 from __future__ import annotations
@@ -27,7 +26,7 @@ import sys
 import numpy as np
 
 from .divergences import parse_family
-from .errors import InfeasibleStartError, UnsupportedSizeError, ValidationError
+from .errors import UnsupportedSizeError, ValidationError
 from .measures import EmpiricalMeasure, ProblemData, normalize, uniform_measure
 from .oracle import OracleConfig, primal_sup_grid
 from .robust import Box, ScenarioMatrix, Simplex, robust_bound, robust_minimize
@@ -334,9 +333,6 @@ def main(argv=None) -> int:
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except InfeasibleStartError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except UnsupportedSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5

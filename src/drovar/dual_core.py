@@ -434,10 +434,10 @@ def optimality_diagnostics(
 ) -> Diagnostics:
     """Evaluate the stationarity certificate at dp (see Diagnostics)."""
     t = tilt(dp, data, p, family)
-    normalization = math.fsum(t.weights.tolist())
+    normalization = math.fsum(memoryview(t.weights))
     dens = t.weights / p.weights
-    achieved = math.fsum((p.weights * f_eval(family, dens)).tolist())
-    mean_gap = math.fsum((t.weights * data.phi).tolist()) - dp.nu / 2.0
+    achieved = math.fsum(memoryview(p.weights * f_eval(family, dens)))
+    mean_gap = math.fsum(memoryview(t.weights * data.phi)) - dp.nu / 2.0
     return Diagnostics(
         normalization=normalization,
         achieved_divergence=achieved,

@@ -9,9 +9,5 @@ class DerivativeUnavailable(RuntimeError):
     """The objective is not finite and smooth at this point; use a derivative-free step."""
 
 
-class InfeasibleStartError(RuntimeError):
-    """The dual objective evaluated to +inf at every multistart point."""
-
-
 class UnsupportedSizeError(ValueError):
     """The brute-force primal oracle only handles 2 or 3 atoms."""

@@ -40,7 +40,7 @@ class EmpiricalMeasure:
         if np.any(w <= 0.0):
             idx = int(np.argmax(w <= 0.0))
             raise ValidationError(f"weights[{idx}] is not strictly positive")
-        if abs(math.fsum(w.tolist()) - 1.0) > _WEIGHT_SUM_TOL:
+        if abs(math.fsum(memoryview(w)) - 1.0) > _WEIGHT_SUM_TOL:
             raise ValidationError("weights must sum to 1 within 1e-12")
         object.__setattr__(self, "weights", w)
 
@@ -73,9 +73,9 @@ def normalize(raw_weights) -> tuple[EmpiricalMeasure, list[int]]:
         raise ValidationError("all weights are zero")
     dropped = np.nonzero(w == 0.0)[0].tolist()
     kept = w[w > 0.0]
-    kept = kept / math.fsum(kept.tolist())
+    kept = kept / math.fsum(memoryview(kept))
     # second pass tightens the sum to a few ulps
-    kept = kept / math.fsum(kept.tolist())
+    kept = kept / math.fsum(memoryview(kept))
     return EmpiricalMeasure(kept), dropped
 
 
@@ -119,7 +119,7 @@ def divergence_of(
     if len(q) != len(p):
         raise ValidationError(f"atom counts differ: {len(q)} vs {len(p)}")
     terms = p.weights * f_eval(family, q.weights / p.weights)
-    return math.fsum(terms.tolist())
+    return math.fsum(memoryview(terms))
 
 
 def variational_gap(
@@ -131,8 +131,8 @@ def variational_gap(
         raise ValidationError("g, q, and p must share one atom set")
     if not np.all(np.isfinite(g)):
         raise ValidationError("g must be finite")
-    gain = math.fsum((q.weights * g).tolist())
-    cost = math.fsum((p.weights * conj_eval(family, g)).tolist())
+    gain = math.fsum(memoryview(q.weights * g))
+    cost = math.fsum(memoryview(p.weights * conj_eval(family, g)))
     return gain - cost
 
 
@@ -143,6 +143,6 @@ def mean_var_of(m: EmpiricalMeasure, values) -> tuple[float, float]:
         raise ValidationError(f"got {v.size} values for {len(m)} atoms")
     if not np.all(np.isfinite(v)):
         raise ValidationError("values must be finite")
-    mean = math.fsum((m.weights * v).tolist())
-    var = math.fsum((m.weights * (v - mean) ** 2).tolist())
+    mean = math.fsum(memoryview(m.weights * v))
+    var = math.fsum(memoryview(m.weights * (v - mean) ** 2))
     return mean, var

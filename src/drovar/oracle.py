@@ -76,7 +76,7 @@ def _argmax_measure(q: np.ndarray) -> EmpiricalMeasure:
     # exact-boundary grid points carry zero atoms; nudge them inside so the
     # strictly-positive measure type can hold the argmax
     w = np.maximum(q, _ARGMAX_FLOOR)
-    return EmpiricalMeasure(w / math.fsum(w.tolist()))
+    return EmpiricalMeasure(w / math.fsum(memoryview(w)))
 
 
 def primal_sup_grid(

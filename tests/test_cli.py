@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 import drovar.cli as cli
-from drovar.errors import InfeasibleStartError
 
 BOUND_KEYS = {
     "bound", "dual_point", "tilt_weights", "diagnostics",
@@ -209,17 +208,6 @@ def test_oracle_check_unsupported_size(tmp_path):
     out = run_cli("oracle-check", "--input", str(big),
                   "--divergence", "kl", "--eta", "0.1")
     assert out.returncode == 5
-
-
-def test_infeasible_start_is_exit_four(bernoulli_csv, monkeypatch, capsys):
-    def explode(*args, **kwargs):
-        raise InfeasibleStartError("no finite start")
-
-    monkeypatch.setattr(cli, "variance_bound", explode)
-    code = cli.main(["bound-variance", "--input", bernoulli_csv,
-                     "--divergence", "kl", "--eta", "0.1"])
-    assert code == 4
-    assert "no finite start" in capsys.readouterr().err
 
 
 def test_render_json_rejects_nan():

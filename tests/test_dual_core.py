@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from scipy.special import logsumexp
 
-from drovar.divergences import alpha_family, kl_family
+from drovar.divergences import alpha_family, f_eval, kl_family
 from drovar.dual_core import (
     ConjugatePair,
     DualPoint,
@@ -432,3 +432,20 @@ def test_diagnostics_boundary_flag_passthrough():
         DualPoint(1.0, 1.0, 0.0), data, HALF, KL, 0.1, boundary=True
     )
     assert diag.boundary_flag is True
+
+
+@pytest.mark.parametrize("family", [KL, A2, A_HALF], ids=lambda f: f.label)
+def test_diagnostics_sums_match_list_sums(family):
+    # the certificate sums the tilt through buffers; the doubles and their
+    # order are those of the lists, so the result is bit-identical
+    rng = np.random.default_rng(17)
+    data, p = random_instance(rng, 1000)
+    dp = DualPoint(2.0, float(np.max(data.psi)) + 1.0, 0.3)
+    diag = optimality_diagnostics(dp, data, p, family, 0.1)
+    t = tilt(dp, data, p, family)
+    dens = t.weights / p.weights
+    assert diag.normalization == math.fsum(t.weights.tolist())
+    assert diag.achieved_divergence == math.fsum(
+        (p.weights * f_eval(family, dens)).tolist()
+    )
+    assert diag.mean_condition_gap == math.fsum((t.weights * data.phi).tolist()) - 0.15

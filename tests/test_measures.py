@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drovar.divergences import alpha_family, kl_family
+from drovar.divergences import alpha_family, f_eval, kl_family
 from drovar.errors import ValidationError
 from drovar.measures import (
     EmpiricalMeasure,
@@ -129,6 +129,34 @@ def test_mean_var_rejects_bad_values():
         mean_var_of(m, [1.0])
     with pytest.raises(ValidationError):
         mean_var_of(m, [1.0, np.nan])
+
+
+def _buffer_cases():
+    rng = np.random.default_rng(5)
+    strided = rng.standard_normal(300)[::3]
+    frozen = rng.uniform(-1.0, 1.0, 101)
+    frozen.flags.writeable = False
+    extreme = np.array([1e308, -1e308, 1e-308, 5e-324, 1.0, -1e-300, 1e300, -1e300, 3.0])
+    return [strided, frozen, extreme, extreme[::-2]]
+
+
+@pytest.mark.parametrize("values", _buffer_cases())
+def test_compensated_sums_over_buffers_match_lists(values):
+    # the library sums through memoryview(a), which must give the same
+    # doubles as a.tolist() in the same order, whatever the strides and flags
+    fsum_list = lambda a: math.fsum(a.tolist())
+    assert math.fsum(memoryview(values)) == fsum_list(values)
+    p = uniform_measure(values.size)
+    v = np.clip(values, -1e150, 1e150)
+    mean = fsum_list(p.weights * v)
+    assert mean_var_of(p, v) == (mean, fsum_list(p.weights * (v - mean) ** 2))
+    raw = np.exp(np.clip(values, -30.0, 30.0))
+    q, _ = normalize(raw)
+    kept = raw / fsum_list(raw)
+    np.testing.assert_array_equal(q.weights, kept / fsum_list(kept))
+    for fam in FAMILIES:
+        expected = fsum_list(p.weights * f_eval(fam, q.weights / p.weights))
+        assert divergence_of(q, p, fam) == expected
 
 
 # ---------------------------------------------------------------------------
