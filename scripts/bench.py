@@ -1,4 +1,5 @@
-"""Timing and work counts for the robust outer solve and single bound solves.
+"""Timing and work counts for the robust outer solve, single bound solves and
+the duality sweep.
 
 Uses only drovar's public API, so the same script measures any revision:
 put that revision's src/ on PYTHONPATH and give the run a label.  Each run
@@ -15,7 +16,11 @@ Recorded per label:
   counted by wrapping drovar.robust.variance_bound, the median wall time in
   ms over the repeats, and the value reached;
 - solve: the median wall time in ms of one variance_bound at n = 10, 10^3
-  and 10^5 atoms for kl, alpha:2 and alpha:0.5.
+  and 10^5 atoms for kl, alpha:2, alpha:0.5, alpha:0.1 and alpha:8;
+- sweep: acceptance criterion 1's 900 instances (rng 90210), solved and
+  checked by the grid oracle as that test does, run once, with the dual-solve
+  seconds per family and the oracle seconds per atom count kept apart, the
+  statuses per family and the worst |bound - oracle|.
 
 BLAS is held at one thread unless the environment sets otherwise, so the
 numbers measure the code, not the host's core count.
@@ -39,10 +44,12 @@ import drovar.robust as robust
 from drovar import (
     Box,
     EmpiricalMeasure,
+    OracleConfig,
     ProblemData,
     ScenarioMatrix,
     kl_family,
     parse_family,
+    primal_sup_grid,
     uniform_measure,
     variance_bound,
 )
@@ -56,8 +63,9 @@ DEMO_RETURNS = np.array([
     [-0.2, 0.1],
 ])
 DEMO_ETAS = (0.01, 0.05, 0.15, 0.4)
-SOLVE_FAMILIES = ("kl", "alpha:2", "alpha:0.5")
+SOLVE_FAMILIES = ("kl", "alpha:2", "alpha:0.5", "alpha:0.1", "alpha:8")
 SOLVE_SIZES = (10, 1_000, 100_000)
+SWEEP_FAMILIES = ("kl", "alpha:2", "alpha:0.5")
 
 
 def drifting_box(seed: int, m: int = 40, d: int = 8) -> ScenarioMatrix:
@@ -125,6 +133,42 @@ def bench_solves(repeats: int) -> dict:
     return out
 
 
+def bench_sweep() -> dict:
+    """Criterion 1's sweep: the same instances, oracle grids and escalation."""
+    rng = np.random.default_rng(90210)
+    dual_s = dict.fromkeys(SWEEP_FAMILIES, 0.0)
+    oracle_s = {"n2": 0.0, "n3": 0.0}
+    statuses = {label: {} for label in SWEEP_FAMILIES}
+    worst = 0.0
+    for label in SWEEP_FAMILIES:
+        fam = parse_family(label)
+        for n in (2, 3):
+            for eta in (0.05, 0.2, 0.5):
+                for _ in range(50):
+                    rho = rng.uniform(-1.0, 1.0, n)
+                    phi = rng.uniform(-1.0, 1.0, n)
+                    w = rng.uniform(0.1, 1.0, n)
+                    data, p = ProblemData(rho=rho, phi=phi), EmpiricalMeasure(w / w.sum())
+                    t0 = time.perf_counter()
+                    res = variance_bound(data, p, fam, eta)
+                    t1 = time.perf_counter()
+                    cfg = OracleConfig() if n == 2 else OracleConfig(grid_per_dim=401)
+                    gap = res.value - primal_sup_grid(data, p, fam, eta, cfg)[0]
+                    if abs(gap) > 5e-5:
+                        fine = OracleConfig(grid_per_dim=4001 if n == 2 else 1201,
+                                            refine_rounds=5)
+                        gap = res.value - primal_sup_grid(data, p, fam, eta, fine)[0]
+                    dual_s[label] += t1 - t0
+                    oracle_s[f"n{n}"] += time.perf_counter() - t1
+                    statuses[label][res.status] = statuses[label].get(res.status, 0) + 1
+                    worst = max(worst, abs(gap))
+    return {"dual_s": {k: round(v, 3) for k, v in dual_s.items()},
+            "dual_s_total": round(sum(dual_s.values()), 3),
+            "oracle_s": {k: round(v, 3) for k, v in oracle_s.items()},
+            "oracle_s_total": round(sum(oracle_s.values()), 3),
+            "statuses": statuses, "worst_gap": worst}
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="section name, e.g. parent or change")
@@ -139,6 +183,7 @@ def main() -> None:
         "repeats": args.repeats,
         "robust": bench_robust(args.repeats),
         "solve_ms": bench_solves(args.repeats),
+        "sweep": bench_sweep(),
     }
     path = Path(args.out)
     doc = json.loads(path.read_text()) if path.exists() else {}
@@ -148,6 +193,9 @@ def main() -> None:
         print(f"{name:18s} {rec['inner_solves']:4d} solves {rec['median_ms']:9.2f} ms")
     for name, ms in section["solve_ms"].items():
         print(f"{name:18s} {ms:9.2f} ms")
+    sweep = section["sweep"]
+    print(f"sweep dual {sweep['dual_s']} s, oracle {sweep['oracle_s']} s, "
+          f"worst gap {sweep['worst_gap']:.2e}")
 
 
 if __name__ == "__main__":

@@ -24,14 +24,15 @@ KL conjugate expectations are taken in log space (max-shifted log-sum-exp) and
 re-exponentiated once, so small lam cannot overflow before the final scaling.
 
 The solver needs only the worst-case mean  M_f(u) = sup { E_Q[u] : D_f(Q, P) <= eta },
-the (lam, beta) block of the dual at fixed nu, which every family reduces to
-one monotone 1-D root (see the worst-case mean kernels below).  Each kernel
-also reports the boundary case, where the ball holds P restricted to
-A = argmax u and M_f(u) = max u.
+the (lam, beta) block of the dual at fixed nu, which one kernel per family (KL,
+alpha) reduces to one monotone 1-D root.  Each kernel reports its own worst-case
+weights, which the solver returns as the tilt, and the boundary case, where the
+ball holds P restricted to A = argmax u and M_f(u) = max u.
 
 The minimizer's tilted weights  w_i = p_i * (f*)'(Psi_i)  are the worst-case
 distribution; at an interior optimum they are an exact stationarity
-certificate:  sum w_i = 1,  D_f(w, p) = eta,  sum w_i phi_i = nu/2.
+certificate:  sum w_i = 1,  D_f(w, p) = eta,  sum w_i phi_i = nu/2.  tilt and
+optimality_diagnostics rebuild them from a DualPoint given in absolute units.
 """
 
 from __future__ import annotations
@@ -121,10 +122,9 @@ SQUARE_PAIR = ConjugatePair(g=_square, g_conj=_quarter_square, g_conj_deriv=_hal
 
 @dataclass(frozen=True)
 class TiltResult:
-    """Worst-case weights w_i = p_i * (f*)'(psi_i) and the conjugate arguments."""
+    """Worst-case weights w_i = p_i * (f*)'(Psi_i), unnormalized."""
 
     weights: np.ndarray
-    psi: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -421,7 +421,19 @@ def tilt(
         raise ValidationError(
             "conjugate argument outside dom f*; no tilt exists at this point"
         )
-    return TiltResult(weights=p.weights * dens, psi=args)
+    return TiltResult(weights=p.weights * dens)
+
+
+def _certificate(weights: np.ndarray, p: EmpiricalMeasure, phi: np.ndarray, nu: float,
+                 family: FDivergenceFamily, boundary: bool) -> Diagnostics:
+    """The stationarity certificate of unnormalized worst-case weights."""
+    return Diagnostics(
+        normalization=math.fsum(memoryview(weights)),
+        achieved_divergence=math.fsum(
+            memoryview(p.weights * f_eval(family, weights / p.weights))),
+        mean_condition_gap=math.fsum(memoryview(weights * phi)) - nu / 2.0,
+        boundary_flag=bool(boundary),
+    )
 
 
 def optimality_diagnostics(
@@ -433,34 +445,25 @@ def optimality_diagnostics(
     boundary: bool = False,
 ) -> Diagnostics:
     """Evaluate the stationarity certificate at dp (see Diagnostics)."""
-    t = tilt(dp, data, p, family)
-    normalization = math.fsum(memoryview(t.weights))
-    dens = t.weights / p.weights
-    achieved = math.fsum(memoryview(p.weights * f_eval(family, dens)))
-    mean_gap = math.fsum(memoryview(t.weights * data.phi)) - dp.nu / 2.0
-    return Diagnostics(
-        normalization=normalization,
-        achieved_divergence=achieved,
-        mean_condition_gap=mean_gap,
-        boundary_flag=bool(boundary),
-    )
+    return _certificate(tilt(dp, data, p, family).weights, p, data.phi, dp.nu,
+                        family, boundary)
 
 
 # ---------------------------------------------------------------------------
 # The worst-case mean M_f(u) = sup { E_Q[u] : D_f(Q, P) <= eta }
 #
-# With top = max u, v = u - top and A = argmax u, each family's dual reduces
-# to one increasing 1-D function, solved in a dimensionless log coordinate z:
+# With top = max u, v = u - top, A = argmax u and span = max u - min u, each
+# family's dual reduces to one increasing 1-D function, solved in a
+# dimensionless log coordinate z:
 #
-#   kl         t = 1/lam = exp(z)/span:  KL(omega_t || P) - eta, omega_t ~ p*exp(t*u)
-#   alpha > 1  beta = top - d, d = exp(z)*span, k = alpha/(alpha-1):  the beta-derivative of
-#              beta + C*||(u - beta)_+||_{L^k(P)},  C = (1 + alpha(alpha-1)eta)^(1/alpha)
-#   alpha < 1  beta = top + d, s = alpha/(1-alpha):  the beta-derivative of
-#              beta - C*E_P[(beta - u)^(-s)]^(-1/s),  C = (1 - alpha(1-alpha)eta)^(1/alpha)
+#   kl     t = 1/lam = exp(z)/span:  KL(omega_t || P) - eta, omega_t ~ p*exp(t*u)
+#   alpha  beta = top - sg*d, d = exp(z)*span, sg = sign(alpha-1), k = alpha/(alpha-1):
+#          sg times the beta-derivative of beta + sg*C*E_P[(sg*(u - beta))_+^k]^(1/k),
+#          C = (1 + alpha(alpha-1)eta)^(1/alpha); for alpha < 1, k < 0 and beta > max u
 #
-# where span = max u - min u.  The boundary case, where the ball holds P
-# restricted to A and M_f(u) = max u, is the limit at the end of that range:
-# -log P(A) <= eta, C*P(A)^(1/k) >= 1 and C <= P(A)^(1/s) respectively.
+# The boundary case, where the ball holds P restricted to A and M_f(u) = max u,
+# is the limit at the end of that range: -log P(A) <= eta and
+# sg*log(C*P(A)^(1/k)) >= 0 respectively.
 
 ROOT = "root"
 STALLED = "stalled"
@@ -531,6 +534,8 @@ class WorstMean(NamedTuple):
     value     the dual value at the root found: an upper bound on M_f(u)
               however loosely the root was solved
     q         the normalized worst-case weights
+    mass      the sum of the unnormalized weights p*(f*)' at the root found,
+              which q*mass recovers (1 where the kernel normalizes exactly)
     boundary  the ball holds P restricted to argmax u, so M_f(u) = max u
     lam, beta the dual point at the root (lam = 0 on the boundary)
     start     the root coordinate, to warm-start the next solve
@@ -541,6 +546,7 @@ class WorstMean(NamedTuple):
 
     value: float
     q: np.ndarray
+    mass: float
     boundary: bool
     lam: float
     beta: float
@@ -557,7 +563,7 @@ def _split(u: np.ndarray, w: np.ndarray):
 
 
 def _at_top(top, w, on_top, pa, start) -> WorstMean:
-    return WorstMean(top, np.where(on_top, w / pa, 0.0), True, 0.0, top, start, None)
+    return WorstMean(top, np.where(on_top, w / pa, 0.0), 1.0, True, 0.0, top, start, None)
 
 
 def _first_z(v, w, eta, root_of) -> float:
@@ -598,74 +604,47 @@ def _kl_mean(u, w, family, eta, tol, budget, start) -> WorstMean:
     lam = span * math.exp(-last["z"])
     log_e = math.log(last["e"])
     q = last["we"] / last["e"]
-    return WorstMean(top + lam * (eta + log_e), q, False, lam,
+    return WorstMean(top + lam * (eta + log_e), q, 1.0, False, lam,
                      top + lam * (log_e - 1.0), last["z"], (q, last["t"]))
 
 
 def _alpha_mean(u, w, family, eta, tol, budget, start) -> WorstMean:
-    """M_f(u) for alpha > 1: min over beta of beta + C*||(u - beta)_+||_{L^k(P)}."""
+    """M_f(u) for an alpha family: with sg = sign(alpha - 1) and
+    k = alpha/(alpha - 1), the minimum over beta = top - sg*d, d > 0, of
+    beta + sg*C*E_P[(sg*(u - beta))_+^k]^(1/k)."""
     a = family.alpha
+    sg = 1.0 if a > 1.0 else -1.0
     k = a / (a - 1.0)
     big_d = 1.0 + a * (a - 1.0) * eta
-    c = big_d ** (1.0 / a)
-    top, v, span, on_top, pa = _split(u, w)
-    if span == 0.0 or c * pa ** (1.0 / k) - 1.0 >= -tol:
-        return _at_top(top, w, on_top, pa, start)
-    last = {}
-
-    def fn(z):
-        # rho = (u - beta)_+ / d, which is 1 on A
-        d = math.exp(z) * span
-        rho = np.maximum(v / d + 1.0, 0.0)
-        wr1 = w * rho ** (k - 1.0)
-        wr2 = np.divide(wr1, rho, out=np.zeros_like(rho), where=rho > 0.0)
-        s1, sk, s2 = float(wr1.sum()), float(np.dot(wr1, rho)), float(wr2.sum())
-        last.update(z=z, d=d, wr1=wr1, wr2=wr2, s1=s1, sk=sk)
-        ck = c * sk ** (1.0 / k)
-        return ck * s1 / sk - 1.0, ck * (k - 1.0) * (s2 / sk - (s1 / sk) ** 2)
-
-    if start is None:
-        start = _first_z(v, w, eta, lambda m, r: (r / (a - 1.0) - m) / span)
-    _root(fn, start, -_Z_RANGE, _Z_RANGE, tol, 1.0, budget)
-    d, s1, sk = last["d"], last["s1"], last["sk"]
-    norm = sk ** (1.0 / k)
-    return WorstMean(top + d * (c * norm - 1.0), last["wr1"] / s1, False,
-                     (a - 1.0) * d * norm / big_d ** (1.0 / k), top - d, last["z"],
-                     (last["wr2"], 1.0 / ((a - 1.0) * d) / s1))
-
-
-def _alpha01_mean(u, w, family, eta, tol, budget, start) -> WorstMean:
-    """M_f(u) for alpha in (0,1): min over beta > max u of
-    beta - C*E_P[(beta - u)^(-s)]^(-1/s)."""
-    a = family.alpha
-    s = a / (1.0 - a)
-    big_d = 1.0 - a * (1.0 - a) * eta
     log_c = math.log(big_d) / a
     top, v, span, on_top, pa = _split(u, w)
-    if span == 0.0 or log_c - math.log(pa) / s <= math.log1p(tol):
+    if span == 0.0 or sg * (log_c + math.log(pa) / k) >= -math.log1p(tol):
         return _at_top(top, w, on_top, pa, start)
     last = {}
 
     def fn(z):
-        # rho = (beta - u) / d >= 1, which is 1 on A; cp = C*E_P[rho^(-s)]^(-1/s)
+        # rho = (sg*(u - beta))_+ / d is 1 on A, >= 1 for alpha < 1; ck = C*E_P[rho^k]^(1/k)
         d = math.exp(z) * span
-        rho = 1.0 - v / d
-        wr0 = w * rho ** (-s)
-        wr1 = wr0 / rho
-        wr2 = wr1 / rho
-        k0, k1, k2 = float(wr0.sum()), float(wr1.sum()), float(wr2.sum())
-        cp = _cexp(log_c - math.log(k0) / s)
-        last.update(z=z, d=d, wr1=wr1, wr2=wr2, k1=k1, cp=cp)
-        return 1.0 - cp * k1 / k0, (1.0 + s) * cp * (k2 / k0 - (k1 / k0) ** 2)
+        rho = v / (sg * d) + 1.0
+        if sg > 0.0:
+            rho = np.maximum(rho, 0.0)
+        wr1 = w * rho ** (k - 1.0)
+        wr2 = (np.divide(wr1, rho, out=np.zeros_like(rho), where=rho > 0.0)
+               if sg > 0.0 else wr1 / rho)
+        s1, sk, s2 = float(wr1.sum()), float(np.dot(wr1, rho)), float(wr2.sum())
+        ck = _cexp(log_c + math.log(sk) / k)
+        last.update(z=z, d=d, wr1=wr1, wr2=wr2, s1=s1, sk=sk, ck=ck)
+        return sg * (ck * s1 / sk - 1.0), sg * (k - 1.0) * ck * (s2 / sk - (s1 / sk) ** 2)
 
     if start is None:
-        start = _first_z(v, w, eta, lambda m, r: (r / (1.0 - a) + m) / span)
+        start = _first_z(v, w, eta, lambda m, r: (r / abs(a - 1.0) - sg * m) / span)
     _root(fn, start, -_Z_RANGE, _Z_RANGE, tol, 1.0, budget)
-    d, k1, cp = last["d"], last["k1"], last["cp"]
-    return WorstMean(top + d * (1.0 - cp), last["wr1"] / k1, False,
-                     (1.0 - a) * d * cp / big_d,
-                     max(top + d, math.nextafter(top, math.inf)), last["z"],
-                     (last["wr2"], 1.0 / ((1.0 - a) * d) / k1))
+    d, s1, sk, ck = last["d"], last["s1"], last["sk"], last["ck"]
+    beta = top - d if sg > 0.0 else max(top + d, math.nextafter(top, math.inf))
+    # the curvature factor divides by d and s1 in turn: their product can underflow
+    return WorstMean(top + sg * d * (ck - 1.0), last["wr1"] / s1, ck * s1 / sk, False,
+                     abs(a - 1.0) * d * ck / big_d, beta, last["z"],
+                     (last["wr2"], 1.0 / (abs(a - 1.0) * d) / s1))
 
 
 def _general_mean(u, w, family, eta, tol, budget, start) -> WorstMean:
@@ -705,7 +684,8 @@ def _general_mean(u, w, family, eta, tol, budget, start) -> WorstMean:
     beta = top - lam * b
     if sign < 0.0:
         beta = max(beta, math.nextafter(top, math.inf))
-    return WorstMean(top + lam * (eta - b + last["ef"]), last["wd"] / float(last["wd"].sum()),
+    mass = float(last["wd"].sum())
+    return WorstMean(top + lam * (eta - b + last["ef"]), last["wd"] / mass, mass,
                      False, lam, beta, (last["z"], last["x"]), None)
 
 
@@ -725,7 +705,6 @@ def _wall_beta(u: np.ndarray, w: np.ndarray, family: FDivergenceFamily, lam: flo
     density 1/P(A) on A = argmax u and nothing elsewhere."""
     top, _, _, _, pa = _split(u, w)
     a = family.alpha
-    gap = lam * _cexp((1.0 - a) * math.log(pa)) / abs(a - 1.0)
-    if a > 1.0:
-        return top - gap
-    return max(top + gap, math.nextafter(top, math.inf))
+    sg = 1.0 if a > 1.0 else -1.0
+    beta = top - sg * lam * _cexp((1.0 - a) * math.log(pa)) / abs(a - 1.0)
+    return beta if sg > 0.0 else max(beta, math.nextafter(top, math.inf))

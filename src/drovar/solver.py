@@ -10,9 +10,10 @@ worst-case mean.  F is 1/2-strongly convex; by Danskin's theorem its
 derivative is G(nu) = nu/2 - E_{Q*}[phi], Q* the worst case of M_f, so G is
 increasing and its root lies in [2 min phi, 2 max phi].  The outer loop finds
 that root by safeguarded Newton steps, with G' from the curvature of M_f.
-Each outer step computes M_f by one monotone 1-D root per family
-(dual_core's worst-case mean kernels), warm-started from the previous outer
-iterate of the same solve.  Every evaluated F is a certified dual value.
+Each outer step computes M_f by one monotone 1-D root in dual_core's kernel
+for the family (KL or alpha), warm-started from the previous outer iterate of
+the same solve.  Every evaluated F is a certified dual value; the tilt and its
+certificate are that kernel's own worst-case weights at the final nu.
 
 parameterization="generic" keeps the outer loop and swaps the inner step:
 it minimizes lam*eta + beta + lam*E_P[f*((u - beta)/lam)] by two nested
@@ -45,8 +46,8 @@ from .dual_core import (
     Diagnostics,
     DualPoint,
     TiltResult,
-    _alpha01_mean,
     _alpha_mean,
+    _certificate,
     _curvature,
     _general_mean,
     _kl_mean,
@@ -55,12 +56,10 @@ from .dual_core import (
     _wall_beta,
     check_eta,
     kl_optimal_beta,
-    optimality_diagnostics,
-    tilt,
 )
 # perfbench/spans.py wraps these names in this module to time the dual-core
 # layer, so they stay importable from here although the nested solve no
-# longer calls most of them.
+# longer calls them.
 from .dual_core import (  # noqa: F401
     alpha_inner_lambda,
     alpha_reduced_gradient,
@@ -69,6 +68,8 @@ from .dual_core import (  # noqa: F401
     gradient_variance,
     kl_reduced_gradient,
     kl_reduced_objective,
+    optimality_diagnostics,
+    tilt,
 )
 from .divergences import conj_deriv, conj_eval  # noqa: F401
 from .errors import ValidationError
@@ -85,23 +86,20 @@ MAX_ITERS = "MaxIters"
 # The inner roots stop three decades inside the outer tolerance, so their
 # error does not move G by more than a small share of grad_tol.
 _INNER_TOL_RATIO = 1e-3
+# The lam reported on the boundary, where the dual infimum sits at lam -> 0.
+_LAMBDA_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
 class SolverConfig:
     grad_tol: float = 1e-9
     max_iters: int = 10000
-    lambda_floor: float = 1e-12
 
     def __post_init__(self):
         if not (0.0 < self.grad_tol < 1e-3):
             raise ValidationError(f"grad_tol must lie in (0, 1e-3), got {self.grad_tol!r}")
         if self.max_iters < 1:
             raise ValidationError("max_iters must be at least 1")
-        if not (0.0 < self.lambda_floor < 1e-6):
-            raise ValidationError(
-                f"lambda_floor must lie in (0, 1e-6), got {self.lambda_floor!r}"
-            )
 
 
 @dataclass(frozen=True)
@@ -126,15 +124,13 @@ def _worst_mean_kernel(family: FDivergenceFamily, parameterization: str):
         )
     if parameterization == "generic":
         return _general_mean
-    if family.kind == KL:
-        return _kl_mean
-    return _alpha_mean if family.alpha > 1.0 else _alpha01_mean
+    return _kl_mean if family.kind == KL else _alpha_mean
 
 
-def _dual_point(nu, u, inner, data, p, family, cfg) -> DualPoint:
+def _dual_point(nu, u, inner, data, p, family) -> DualPoint:
     """The full dual point behind an inner solve, with lam held at the floor
     on the boundary and a beta there at which the tilt is finite."""
-    lam = max(inner.lam, cfg.lambda_floor)
+    lam = max(inner.lam, _LAMBDA_FLOOR)
     if lam == inner.lam:
         beta = inner.beta
     elif family.kind == KL:
@@ -202,14 +198,12 @@ def variance_bound(
         status = CONVERGED
     else:
         status = BOUNDARY_LAMBDA
-    dp = _dual_point(nu, u, inner, data, p, family, cfg)
+    weights = inner.q * inner.mass
     return BoundResult(
         value=value,
-        dual_point=dp,
-        tilt=tilt(dp, data, p, family),
-        diagnostics=optimality_diagnostics(
-            dp, data, p, family, eta, boundary=status == BOUNDARY_LAMBDA
-        ),
+        dual_point=_dual_point(nu, u, inner, data, p, family),
+        tilt=TiltResult(weights),
+        diagnostics=_certificate(weights, p, phi, nu, family, status == BOUNDARY_LAMBDA),
         status=status,
         iterations=budget.used,
     )

@@ -32,10 +32,17 @@ from _instances import random_instance
 KL = kl_family()
 A2 = alpha_family(2.0)
 A_HALF = alpha_family(0.5)
+A_TENTH = alpha_family(0.1)
+A8 = alpha_family(8.0)
 
 BERNOULLI = ProblemData(rho=np.zeros(2), phi=np.array([0.0, 1.0]))
 HALF = uniform_measure(2)
 SKEWED = EmpiricalMeasure(np.array([0.8, 0.2]))
+
+
+FAMILY_CASES = pytest.mark.parametrize(
+    "fam", [KL, A2, A_HALF], ids=["kl", "alpha:2", "alpha:0.5"]
+)
 
 
 # ---------------------------------------------------------------------------
@@ -46,7 +53,6 @@ def test_config_defaults():
     cfg = SolverConfig()
     assert cfg.grad_tol == 1e-9
     assert cfg.max_iters == 10000
-    assert cfg.lambda_floor == 1e-12
 
 
 @pytest.mark.parametrize(
@@ -55,8 +61,6 @@ def test_config_defaults():
         {"grad_tol": 0.0},
         {"grad_tol": 1e-2},
         {"max_iters": 0},
-        {"lambda_floor": 0.0},
-        {"lambda_floor": 1e-5},
     ],
 )
 def test_config_rejects(kwargs):
@@ -134,6 +138,55 @@ def test_variance_bound_validates_inputs():
         variance_bound(BERNOULLI, HALF, KL, 0.1, parameterization="fancy")
 
 
+def test_tiny_top_weight_keeps_the_certificate():
+    # the worst case needs beta - max u far below one ulp of max u; the
+    # kernel's own weights still certify the solve
+    data = ProblemData(rho=np.array([5.0, 0.0, 0.1]), phi=np.array([1.0, 0.0, 0.2]))
+    p = EmpiricalMeasure(np.array([1e-300, 0.5, 0.5]))
+    res = variance_bound(data, p, A_HALF, 0.2)
+    assert res.status == CONVERGED
+    assert abs(res.diagnostics.normalization - 1.0) <= 1e-6
+    assert abs(res.diagnostics.mean_condition_gap) <= 1e-6
+
+
+ALL_FAMILIES = pytest.mark.parametrize(
+    "fam", [KL, A2, A_HALF, A_TENTH, A8],
+    ids=["kl", "alpha:2", "alpha:0.5", "alpha:0.1", "alpha:8"],
+)
+
+
+@ALL_FAMILIES
+@pytest.mark.parametrize("rho", [0.3, -12.5, 1e6])
+@pytest.mark.parametrize("phi", [0.0, -3.1])
+def test_one_atom_bound_is_its_value(fam, rho, phi):
+    # Q = P is the only measure on one atom: the bound is rho, the tilt is P
+    res = variance_bound(ProblemData(rho=np.array([rho]), phi=np.array([phi])),
+                         uniform_measure(1), fam, 0.2)
+    assert abs(res.value - rho) <= 1e-15 * (abs(rho) + phi * phi)
+    assert res.tilt.weights.tolist() == [1.0]
+
+
+@FAMILY_CASES
+def test_boundary_tilts_lie_in_the_ball(fam):
+    # payoffs on a coarse grid, so that atoms tie and the boundary is common
+    rng = np.random.default_rng(59)
+    boundary = 0
+    for _ in range(80):
+        n = int(rng.integers(2, 4))
+        grid = rng.random() < 0.5
+        draw = (lambda: rng.integers(-3, 4, n) / 2.0) if grid else (lambda: rng.uniform(-1, 1, n))
+        data = ProblemData(rho=draw(), phi=draw())
+        p, _ = normalize(rng.uniform(0.1, 1.0, n))
+        eta = float(rng.choice([0.05, 0.2, 0.5, 1.0]))
+        res = variance_bound(data, p, fam, eta)
+        if res.status != BOUNDARY_LAMBDA:
+            continue
+        boundary += 1
+        assert abs(res.tilt.weights.sum() - 1.0) <= 1e-9
+        assert res.diagnostics.achieved_divergence <= eta * (1.0 + 1e-9)
+    assert boundary >= 10
+
+
 # ---------------------------------------------------------------------------
 # structural identities
 
@@ -150,8 +203,10 @@ def test_zero_phi_reduces_to_mean_bound():
 
 
 @pytest.mark.parametrize(
-    "fam, tol", [(KL, 1e-7), (A2, 1e-6), (A_HALF, 1e-6)],
-    ids=["kl", "alpha:2", "alpha:0.5"],
+    "fam, tol",
+    [(KL, 1e-7), (A2, 1e-6), (A_HALF, 1e-6), (A_TENTH, 1e-6),
+     (alpha_family(0.95), 1e-6), (alpha_family(1.05), 1e-6), (A8, 1e-6)],
+    ids=["kl", "alpha:2", "alpha:0.5", "alpha:0.1", "alpha:0.95", "alpha:1.05", "alpha:8"],
 )
 def test_reduced_and_generic_parameterizations_agree(fam, tol):
     rng = np.random.default_rng(37)
@@ -230,9 +285,6 @@ def test_import_pulls_in_no_scipy():
 # ---------------------------------------------------------------------------
 # symmetries of the bound, on small instances drawn by hypothesis
 
-FAMILY_CASES = pytest.mark.parametrize(
-    "fam", [KL, A2, A_HALF], ids=["kl", "alpha:2", "alpha:0.5"]
-)
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True)
 _unit = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
 
