@@ -117,6 +117,7 @@ def bound_record(res, eta: float, family) -> dict:
 
 
 def _read_rows(path: str) -> tuple[list[str], list[dict]]:
+    """The stripped header names and the data rows, keyed by those names."""
     try:
         fh = open(path, newline="")
     except OSError as exc:
@@ -125,20 +126,22 @@ def _read_rows(path: str) -> tuple[list[str], list[dict]]:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise ValidationError(f"input file {path!r} is empty")
-        names = [n.strip() for n in reader.fieldnames]
+        reader.fieldnames = names = [n.strip() for n in reader.fieldnames]
+        twice = sorted({n for n in names if n and names.count(n) > 1})
+        if twice:
+            raise ValidationError(f"duplicate column names {twice} in {path!r}")
         rows = list(reader)
     if not rows:
         raise ValidationError(f"input file {path!r} has no data rows")
     return names, rows
 
 
-def _column(rows: list[dict], names: list[str], raw_names: list[str], want: str) -> np.ndarray:
+def _column(rows: list[dict], names: list[str], want: str) -> np.ndarray:
     if want not in names:
         raise ValidationError(f"missing required column {want!r}")
-    key = raw_names[names.index(want)]
     vals = []
     for i, row in enumerate(rows, start=1):
-        cell = row.get(key)
+        cell = row.get(want)
         if cell is None or cell.strip() == "":
             raise ValidationError(f"missing value at data row {i}, column {want!r}")
         try:
@@ -150,46 +153,35 @@ def _column(rows: list[dict], names: list[str], raw_names: list[str], want: str)
     return np.array(vals)
 
 
-def _weights_for(rows, names, raw_names, count: int):
-    if "weight" in names:
-        raw = _column(rows, names, raw_names, "weight")
-        return normalize(raw)
-    return uniform_measure(count), []
+def _weights_for(rows, names) -> tuple[EmpiricalMeasure, np.ndarray]:
+    """The normalized measure and the mask of the rows it keeps (weight > 0)."""
+    if "weight" not in names:
+        return uniform_measure(len(rows)), np.ones(len(rows), dtype=bool)
+    raw = _column(rows, names, "weight")
+    p, _ = normalize(raw)
+    return p, raw > 0.0
 
 
 def ingest_bound_csv(path: str) -> tuple[ProblemData, EmpiricalMeasure]:
     """Read rho, phi, and optional weight; zero-weight atoms are dropped."""
-    raw_names, rows = _read_rows(path)
-    names = raw_names
-    rho = _column(rows, names, raw_names, "rho")
-    phi = _column(rows, names, raw_names, "phi")
-    p, dropped = _weights_for(rows, names, raw_names, len(rows))
-    if dropped:
-        keep = np.setdiff1d(np.arange(len(rows)), np.array(dropped))
-        rho, phi = rho[keep], phi[keep]
-    return ProblemData(rho=rho, phi=phi), p
+    names, rows = _read_rows(path)
+    rho = _column(rows, names, "rho")
+    phi = _column(rows, names, "phi")
+    p, keep = _weights_for(rows, names)
+    return ProblemData(rho=rho[keep], phi=phi[keep]), p
 
 
 def ingest_scenario_csv(path: str) -> ScenarioMatrix:
     """Read r1..rd and optional weight into a scenario matrix."""
-    raw_names, rows = _read_rows(path)
-    names = raw_names
-    indices = []
-    for name in names:
-        if len(name) > 1 and name[0] == "r" and name[1:].isdigit():
-            indices.append(int(name[1:]))
+    names, rows = _read_rows(path)
+    indices = [int(name[1:]) for name in names
+               if len(name) > 1 and name[0] == "r" and name[1:].isdigit()]
     if not indices:
         raise ValidationError("missing required columns r1..rd")
-    d = max(indices)
-    cols = []
-    for k in range(1, d + 1):
-        cols.append(_column(rows, names, raw_names, f"r{k}"))
-    matrix = np.column_stack(cols)
-    p, dropped = _weights_for(rows, names, raw_names, len(rows))
-    if dropped:
-        keep = np.setdiff1d(np.arange(len(rows)), np.array(dropped))
-        matrix = matrix[keep]
-    return ScenarioMatrix(rows=matrix, weights=p)
+    matrix = np.column_stack(
+        [_column(rows, names, f"r{k}") for k in range(1, max(indices) + 1)])
+    p, keep = _weights_for(rows, names)
+    return ScenarioMatrix(rows=matrix[keep], weights=p)
 
 
 # ---------------------------------------------------------------------------
@@ -241,9 +233,12 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle_check(args) -> int:
+    tol = args.tol if args.tol is not None else _ORACLE_GAP_TOL
+    if not tol > 0.0:
+        raise ValidationError(f"--tol must be positive, got {tol!r}")
     data, p = ingest_bound_csv(args.input)
     family = parse_family(args.divergence)
-    res = variance_bound(data, p, family, args.eta, config=_solver_config(args))
+    res = variance_bound(data, p, family, args.eta)
     oracle_cfg = OracleConfig(grid_per_dim=args.grid) if args.grid else OracleConfig()
     oracle_value, _ = primal_sup_grid(data, p, family, args.eta, oracle_cfg)
     gap = res.value - oracle_value
@@ -251,14 +246,13 @@ def _cmd_oracle_check(args) -> int:
     record["oracle_value"] = oracle_value
     record["gap"] = gap
     print(render_json(record))
-    tol = args.tol if args.tol is not None else _ORACLE_GAP_TOL
     return 0 if abs(gap) <= tol else 3
 
 
 def _cmd_robust(args) -> int:
     scenarios = ingest_scenario_csv(args.input)
     family = parse_family(args.divergence)
-    cfg = SolverConfig(grad_tol=args.tol) if args.tol is not None else SolverConfig()
+    cfg = _solver_config(args)
     if args.simplex:
         constraint = Simplex()
     else:
@@ -290,7 +284,8 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--input", required=True, help="CSV input file")
         sp.add_argument("--divergence", required=True, help="'kl' or 'alpha:<value>'")
         sp.add_argument("--tol", type=float, default=None,
-                        help="solver gradient tolerance (oracle-check: gap tolerance)")
+                        help="solver gradient tolerance; for oracle-check, the "
+                             f"tolerance on |gap| instead (default {_ORACLE_GAP_TOL:g})")
         if steps:
             sp.add_argument("--eta-min", type=float, required=True)
             sp.add_argument("--eta-max", type=float, required=True)

@@ -35,17 +35,15 @@ EXP_ARG_CAP = 700.0  # exp overflows a double past ~709.8; stay clear of it
 
 @dataclass(frozen=True)
 class FDivergenceFamily:
-    """A divergence generator with its domain and conjugate metadata.
+    """A divergence generator: kind is 'kl' or 'alpha', alpha its exponent.
 
-    divergence_cap is sup_Q D_f(Q, P), finite only for alpha in (0, 1) where
-    it equals 1/(alpha*(1-alpha)); radii at or above the cap are vacuous.
+    divergence_cap is sup_Q D_f(Q, P), computed from kind and alpha: finite
+    only for alpha in (0, 1), where it equals 1/(alpha*(1-alpha)); radii at
+    or above the cap are vacuous.
     """
 
     kind: str
     alpha: float | None = None
-    domain_lo: float = 0.0
-    domain_hi: float = math.inf
-    divergence_cap: float = math.inf
 
     def __post_init__(self):
         if self.kind not in (KL, ALPHA):
@@ -56,6 +54,12 @@ class FDivergenceFamily:
                 raise ValidationError(
                     f"alpha must lie in (0,1) or (1,{ALPHA_MAX:g}], got {a!r}"
                 )
+
+    @property
+    def divergence_cap(self) -> float:
+        if self.kind == ALPHA and self.alpha < 1.0:
+            return 1.0 / (self.alpha * (1.0 - self.alpha))
+        return math.inf
 
     @property
     def label(self) -> str:
@@ -69,13 +73,15 @@ def kl_family() -> FDivergenceFamily:
 
 
 def alpha_family(alpha: float) -> FDivergenceFamily:
-    alpha = float(alpha)
-    if not (0.0 < alpha <= ALPHA_MAX) or alpha == 1.0:
+    return FDivergenceFamily(kind=ALPHA, alpha=float(alpha))
+
+
+def check_eta(eta: float, family: FDivergenceFamily) -> None:
+    """Reject radii outside (0, divergence_cap)."""
+    if not (math.isfinite(eta) and 0.0 < eta < family.divergence_cap):
         raise ValidationError(
-            f"alpha must lie in (0,1) or (1,{ALPHA_MAX:g}], got {alpha!r}"
+            f"eta must lie in (0, {family.divergence_cap:g}), got {eta!r}"
         )
-    cap = 1.0 / (alpha * (1.0 - alpha)) if alpha < 1.0 else math.inf
-    return FDivergenceFamily(kind=ALPHA, alpha=alpha, divergence_cap=cap)
 
 
 def parse_family(spec: str) -> FDivergenceFamily:

@@ -6,10 +6,9 @@ the infimum over lam > 0, beta, nu of the jointly convex objective
     J(lam, beta, nu) = nu^2/4 + beta + eta*lam
                        + lam * E_P[ f*((rho + phi^2 - nu*phi - beta) / lam) ],
 
-where nu/2 plays the role of the worst-case mean of phi.  Replacing the
-square penalty by a general convex g turns nu^2/4 into the conjugate g*(nu)
-(dual_objective_general); dropping the phi block entirely gives the
-worst-case mean bound (dual_objective_mean).
+where nu/2 plays the role of the worst-case mean of phi.  At fixed nu the
+(lam, beta) block is the worst-case mean dual (dual_objective_mean) of the
+payoff u = rho + phi^2 - nu*phi, so J is that dual plus nu^2/4.
 
 Two family-specific reductions eliminate coordinates in closed form:
 
@@ -39,7 +38,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,9 +48,11 @@ from .divergences import (
     FDivergenceFamily,
     _conj,
     alpha_family,
+    check_eta,
     conj_deriv,
     conj_eval,
     f_eval,
+    kl_family,
 )
 from .errors import DerivativeUnavailable, ValidationError
 from .measures import EmpiricalMeasure, ProblemData, check_lengths
@@ -60,9 +61,6 @@ from .measures import EmpiricalMeasure, ProblemData, check_lengths
 NORMALIZATION_TOL = 1e-6
 DIVERGENCE_TOL = 1e-5
 MEAN_CONDITION_TOL = 1e-6
-
-_FY_CHECK_POINTS = 100
-_FY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -74,50 +72,9 @@ class DualPoint:
     nu: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.lam) and self.lam > 0.0):
-            raise ValidationError(f"lam must be positive and finite, got {self.lam!r}")
+        _check_lam(self.lam)
         if not (math.isfinite(self.beta) and math.isfinite(self.nu)):
             raise ValidationError("beta and nu must be finite")
-
-
-@dataclass(frozen=True)
-class ConjugatePair:
-    """A convex penalty g with its conjugate g* and (g*)'.
-
-    Construction spot-checks the Fenchel-Young inequality
-    g(z) + g*(nu) >= z*nu on a fixed 100-point random grid.
-    """
-
-    g: Callable[[float], float]
-    g_conj: Callable[[float], float]
-    g_conj_deriv: Callable[[float], float]
-
-    def __post_init__(self):
-        rng = np.random.default_rng(20118)
-        zs = rng.uniform(-10.0, 10.0, _FY_CHECK_POINTS)
-        vs = rng.uniform(-10.0, 10.0, _FY_CHECK_POINTS)
-        for z, v in zip(zs, vs):
-            if self.g(z) + self.g_conj(v) < z * v - _FY_TOL:
-                raise ValidationError(
-                    f"Fenchel-Young violated at z={z:.6g}, nu={v:.6g}: "
-                    "g and g_conj are not conjugate"
-                )
-
-
-def _square(z: float) -> float:
-    return z * z
-
-
-def _quarter_square(nu: float) -> float:
-    return nu * nu / 4.0
-
-
-def _half(nu: float) -> float:
-    return nu / 2.0
-
-
-#: The variance penalty g(z) = z^2 with g*(nu) = nu^2/4.
-SQUARE_PAIR = ConjugatePair(g=_square, g_conj=_quarter_square, g_conj_deriv=_half)
 
 
 @dataclass(frozen=True)
@@ -141,17 +98,6 @@ class Diagnostics:
     achieved_divergence: float
     mean_condition_gap: float
     boundary_flag: bool
-
-
-def check_eta(eta: float, family: FDivergenceFamily) -> None:
-    if not (math.isfinite(eta) and 0.0 < eta < family.divergence_cap):
-        raise ValidationError(
-            f"eta must lie in (0, {family.divergence_cap:g}), got {eta!r}"
-        )
-
-
-def _conj_args(lam, beta, nu, psi, phi) -> np.ndarray:
-    return (psi - nu * phi - beta) / lam
 
 
 def _payoff(data: ProblemData, nu: float) -> np.ndarray:
@@ -184,31 +130,6 @@ def _check_lam(lam: float) -> None:
         raise ValidationError(f"lam must be positive and finite, got {lam!r}")
 
 
-def _check_atoms(p: EmpiricalMeasure, *arrays) -> list[np.ndarray]:
-    out = [np.atleast_1d(np.asarray(a, dtype=float)) for a in arrays]
-    if any(a.size != len(p) for a in out):
-        raise ValidationError("values and p must share one atom set")
-    return out
-
-
-def dual_objective_general(
-    dp: DualPoint,
-    psi,
-    phi,
-    pair: ConjugatePair,
-    p: EmpiricalMeasure,
-    family: FDivergenceFamily,
-    eta: float,
-) -> float:
-    """g*(nu) + beta + eta*lam + lam*E_P[f*((psi - nu*phi - beta)/lam)], extended-real."""
-    check_eta(eta, family)
-    psi, phi = _check_atoms(p, psi, phi)
-    with np.errstate(all="ignore"):
-        args = _conj_args(dp.lam, dp.beta, dp.nu, psi, phi)
-        tail = _conj_tail(dp.lam, args, p.weights, family)
-        return pair.g_conj(dp.nu) + dp.beta + eta * dp.lam + tail
-
-
 def dual_objective_variance(
     dp: DualPoint,
     data: ProblemData,
@@ -216,9 +137,11 @@ def dual_objective_variance(
     family: FDivergenceFamily,
     eta: float,
 ) -> float:
-    """The variance-penalty dual objective; the square-pair case of the general one."""
-    check_lengths(data, p)
-    return dual_objective_general(dp, data.psi, data.phi, SQUARE_PAIR, p, family, eta)
+    """J(lam, beta, nu): nu^2/4 plus the worst-case mean dual at the payoff
+    u = psi - nu*phi, extended-real."""
+    with np.errstate(all="ignore"):
+        u = _payoff(data, dp.nu)
+    return dp.nu * dp.nu / 4.0 + dual_objective_mean(dp.lam, dp.beta, u, p, family, eta)
 
 
 def dual_objective_mean(
@@ -232,9 +155,11 @@ def dual_objective_mean(
     """beta + eta*lam + lam*E_P[f*((values - beta)/lam)] for the worst-case mean."""
     check_eta(eta, family)
     _check_lam(lam)
-    (v,) = _check_atoms(p, values)
-    args = (v - beta) / lam
+    v = np.atleast_1d(np.asarray(values, dtype=float))
+    if v.size != len(p):
+        raise ValidationError("values and p must share one atom set")
     with np.errstate(all="ignore"):
+        args = (v - beta) / lam
         return beta + eta * lam + _conj_tail(lam, args, p.weights, family)
 
 
@@ -242,11 +167,10 @@ def kl_reduced_objective(
     lam: float, nu: float, data: ProblemData, p: EmpiricalMeasure, eta: float
 ) -> float:
     """KL dual with beta eliminated: nu^2/4 + eta*lam + lam*log E_P[exp((rho+phi^2-nu*phi)/lam)]."""
-    if not (math.isfinite(eta) and eta > 0.0):
-        raise ValidationError(f"eta must be positive, got {eta!r}")
+    check_eta(eta, kl_family())
     _check_lam(lam)
     check_lengths(data, p)
-    u = data.psi - nu * data.phi
+    u = _payoff(data, nu)
     return nu * nu / 4.0 + eta * lam + lam * _kl_log_mean(u / lam, p.weights)
 
 
@@ -254,7 +178,7 @@ def kl_reduced_gradient(
     lam: float, nu: float, data: ProblemData, p: EmpiricalMeasure, eta: float
 ) -> tuple[float, float]:
     """(d/dlam, d/dnu) of kl_reduced_objective."""
-    args = (data.psi - nu * data.phi) / lam
+    args = _payoff(data, nu) / lam
     L = _kl_log_mean(args, p.weights)
     # softmax weights of args under p
     omega = np.exp(np.log(p.weights) + args - L)
@@ -270,11 +194,6 @@ def kl_optimal_beta(
     return lam * (_kl_log_mean(_payoff(data, nu) / lam, p.weights) - 1.0)
 
 
-def _alpha_gaps(beta, nu, psi, phi) -> np.ndarray:
-    """beta - (psi - nu*phi); every entry must be > 0 for the reduced form."""
-    return beta + nu * phi - psi
-
-
 def _alpha_C(gaps: np.ndarray, w: np.ndarray, alpha: float) -> float:
     """C = E_P[gaps^(-alpha/(1-alpha))] / (alpha*(1-alpha)^(alpha/(1-alpha)))."""
     r = alpha / (1.0 - alpha)
@@ -283,19 +202,19 @@ def _alpha_C(gaps: np.ndarray, w: np.ndarray, alpha: float) -> float:
     return K / (alpha * (1.0 - alpha) ** r)
 
 
-def _alpha_lambda(gaps, w, alpha, eta) -> float:
+def _alpha_lambda(gaps, w, alpha, slack) -> float:
     """Kernel of alpha_inner_lambda, at gaps that are all positive."""
-    cap = 1.0 / (alpha * (1.0 - alpha))
     C = _alpha_C(gaps, w, alpha)
-    return ((1.0 - alpha) * (cap - eta) / C) ** ((1.0 - alpha) / alpha)
+    return ((1.0 - alpha) * slack / C) ** ((1.0 - alpha) / alpha)
 
 
-def _check_alpha01(alpha: float, eta: float) -> None:
+def _check_alpha01(alpha: float, eta: float) -> float:
+    """Validate alpha in (0,1) and eta; return the slack cap - eta."""
     if not (0.0 < alpha < 1.0):
         raise ValidationError(f"this reduction needs alpha in (0,1), got {alpha!r}")
-    cap = 1.0 / (alpha * (1.0 - alpha))
-    if not (math.isfinite(eta) and 0.0 < eta < cap):
-        raise ValidationError(f"eta must lie in (0, {cap:g}), got {eta!r}")
+    family = alpha_family(alpha)
+    check_eta(eta, family)
+    return family.divergence_cap - eta
 
 
 def alpha_reduced_objective(
@@ -304,19 +223,18 @@ def alpha_reduced_objective(
 ) -> float:
     """alpha in (0,1) dual with lam eliminated; +inf unless every conjugate
     argument is strictly negative (the finite-C branch)."""
-    _check_alpha01(alpha, eta)
+    slack = _check_alpha01(alpha, eta)
     check_lengths(data, p)
-    gaps = _alpha_gaps(beta, nu, data.psi, data.phi)
+    gaps = beta - _payoff(data, nu)
     if (gaps <= 0.0).any():
         return math.inf
-    cap = 1.0 / (alpha * (1.0 - alpha))
     C = _alpha_C(gaps, p.weights, alpha)
     # C = +inf degrades gracefully: the correction term vanishes,
     # matching the lam -> 0 limit of the dual.
     return (
         nu * nu / 4.0
         + beta
-        - alpha * ((1.0 - alpha) / C) ** ((1.0 - alpha) / alpha) * (cap - eta) ** (1.0 / alpha)
+        - alpha * ((1.0 - alpha) / C) ** ((1.0 - alpha) / alpha) * slack ** (1.0 / alpha)
     )
 
 
@@ -325,11 +243,11 @@ def alpha_inner_lambda(
     alpha: float, eta: float,
 ) -> float:
     """The lam recovering the full dual point from the alpha-reduced one."""
-    _check_alpha01(alpha, eta)
-    gaps = _alpha_gaps(beta, nu, data.psi, data.phi)
+    slack = _check_alpha01(alpha, eta)
+    gaps = beta - _payoff(data, nu)
     if np.any(gaps <= 0.0):
         raise ValidationError("point is outside the reduced feasible region")
-    return _alpha_lambda(gaps, p.weights, alpha, eta)
+    return _alpha_lambda(gaps, p.weights, alpha, slack)
 
 
 def alpha_reduced_gradient(
@@ -341,13 +259,13 @@ def alpha_reduced_gradient(
     At the inner-optimal lam the reduced gradient equals the (beta, nu) block
     of the full dual gradient.
     """
-    _check_alpha01(alpha, eta)
-    gaps = _alpha_gaps(beta, nu, data.psi, data.phi)
+    slack = _check_alpha01(alpha, eta)
+    gaps = beta - _payoff(data, nu)
     if (gaps <= 0.0).any():
         raise DerivativeUnavailable(
             "reduced objective is +inf here; use the derivative-free path"
         )
-    lam = _alpha_lambda(gaps, p.weights, alpha, eta)
+    lam = _alpha_lambda(gaps, p.weights, alpha, slack)
     if lam <= 0.0:
         raise DerivativeUnavailable(
             "inner lam underflowed to zero; use the derivative-free path"
@@ -398,7 +316,7 @@ def gradient_variance(
     """(d/dlam, d/dbeta, d/dnu) of dual_objective_variance at a smooth finite point."""
     check_eta(eta, family)
     check_lengths(data, p)
-    args = _conj_args(dp.lam, dp.beta, dp.nu, data.psi, data.phi)
+    args = (_payoff(data, dp.nu) - dp.beta) / dp.lam
     e_f, e_d, e_da, e_dphi = _moments(args, data.phi, p, family)
     return (
         eta + e_f - e_da,

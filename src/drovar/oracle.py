@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import FDivergenceFamily, f_eval
+from .divergences import FDivergenceFamily, check_eta, f_eval
 from .errors import UnsupportedSizeError, ValidationError
 from .measures import EmpiricalMeasure, ProblemData, check_lengths, mean_var_of
 
@@ -92,10 +92,7 @@ def primal_sup_grid(
     """
     cfg = config or OracleConfig()
     check_lengths(data, p)
-    if not (math.isfinite(eta) and 0.0 < eta < family.divergence_cap):
-        raise ValidationError(
-            f"eta must lie in (0, {family.divergence_cap:g}), got {eta!r}"
-        )
+    check_eta(eta, family)
     n = len(p)
     if n not in (2, 3):
         raise UnsupportedSizeError(

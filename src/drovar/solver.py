@@ -38,7 +38,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import KL, FDivergenceFamily
+from .divergences import KL, FDivergenceFamily, check_eta
 from .dual_core import (
     ROOT,
     SPENT,
@@ -54,7 +54,6 @@ from .dual_core import (
     _payoff,
     _root,
     _wall_beta,
-    check_eta,
     kl_optimal_beta,
 )
 # perfbench/spans.py wraps these names in this module to time the dual-core

@@ -128,9 +128,20 @@ def test_oracle_check_exit_codes(skewed_csv):
     assert "oracle_value" in rec and "gap" in rec
     assert abs(rec["gap"]) <= 1e-4
 
+    # --tol is the gap tolerance alone: the solve keeps its default settings,
+    # so the record is the same at any --tol, and a loose one (above the
+    # solver's own limit of 1e-3) is accepted
     tight = run_cli("oracle-check", "--input", skewed_csv,
                     "--divergence", "kl", "--eta", "0.1", "--tol", "1e-12")
     assert tight.returncode == 3
+    assert tight.stdout == ok.stdout
+    loose = run_cli("oracle-check", "--input", skewed_csv,
+                    "--divergence", "kl", "--eta", "0.1", "--tol", "0.01")
+    assert loose.returncode == 0, loose.stderr
+    assert loose.stdout == ok.stdout
+    bad = run_cli("oracle-check", "--input", skewed_csv,
+                  "--divergence", "kl", "--eta", "0.1", "--tol", "0")
+    assert bad.returncode == 2
 
 
 def test_robust_subcommand_box_and_simplex(tmp_path):
@@ -149,6 +160,29 @@ def test_robust_subcommand_box_and_simplex(tmp_path):
     assert sum(rec2["x"]) == pytest.approx(1.0, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "plain, spaced, args",
+    [
+        ("rho,phi,weight\n0,0,1\n9,9,0\n0,1,3\n",
+         "rho, phi , weight\n0,0,1\n9,9,0\n0,1,3\n",
+         ("bound-variance", "--divergence", "kl", "--eta", "0.1")),
+        ("r1,r2\n1.2,-0.3\n-0.8,0.1\n0.4,0.05\n",
+         " r1, r2\n1.2,-0.3\n-0.8,0.1\n0.4,0.05\n",
+         ("robust", "--divergence", "kl", "--eta", "0.1", "--box", "0", "1")),
+    ],
+    ids=["bound-variance", "robust"],
+)
+def test_header_names_may_carry_spaces(tmp_path, plain, spaced, args):
+    outs = []
+    for name, text in (("plain.csv", plain), ("spaced.csv", spaced)):
+        path = tmp_path / name
+        path.write_text(text)
+        outs.append(run_cli(*args, "--input", str(path)))
+    assert outs[0].returncode == 0, outs[0].stderr
+    assert outs[1].returncode == 0, outs[1].stderr
+    assert outs[0].stdout == outs[1].stdout
+
+
 # ---------------------------------------------------------------------------
 # documented failure exit codes
 
@@ -156,6 +190,16 @@ def test_robust_subcommand_box_and_simplex(tmp_path):
 def test_missing_column_names_the_column(tmp_path):
     bad = tmp_path / "bad.csv"
     bad.write_text("rho\n1\n")
+    out = run_cli("bound-variance", "--input", str(bad),
+                  "--divergence", "kl", "--eta", "0.1")
+    assert out.returncode == 2
+    assert b"phi" in out.stderr
+
+
+def test_duplicate_column_is_rejected(tmp_path):
+    # "phi" and " phi" name the same column once stripped
+    bad = tmp_path / "bad.csv"
+    bad.write_text("rho,phi, phi\n0,0,5\n0,1,7\n")
     out = run_cli("bound-variance", "--input", str(bad),
                   "--divergence", "kl", "--eta", "0.1")
     assert out.returncode == 2

@@ -1,5 +1,6 @@
 """Generator families: parsing, f / f* / (f*)' values, and conjugate laws."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,6 +19,8 @@ from drovar.divergences import (
     parse_family,
 )
 from drovar.errors import ValidationError
+from drovar.measures import ProblemData, uniform_measure
+from drovar.solver import variance_bound
 
 FAMILIES = [kl_family(), alpha_family(2.0), alpha_family(0.5)]
 
@@ -73,8 +76,24 @@ def test_alpha_family_bounds():
 
 def test_divergence_cap():
     assert alpha_family(0.5).divergence_cap == 4.0
+    # the cap follows from kind and alpha, however the family is built
+    assert FDivergenceFamily(kind="alpha", alpha=0.5).divergence_cap == 4.0
     assert math.isinf(kl_family().divergence_cap)
     assert math.isinf(alpha_family(2.0).divergence_cap)
+
+
+def test_family_is_kind_and_alpha():
+    assert [f.name for f in dataclasses.fields(FDivergenceFamily)] == ["kind", "alpha"]
+    assert FDivergenceFamily(kind="alpha", alpha=0.5) == alpha_family(0.5)
+
+
+@pytest.mark.parametrize("parameterization", ["auto", "generic"])
+def test_radius_beyond_the_derived_cap_is_rejected(parameterization):
+    family = FDivergenceFamily(kind="alpha", alpha=0.5)
+    data = ProblemData(rho=np.zeros(2), phi=np.array([0.0, 1.0]))
+    with pytest.raises(ValidationError):
+        variance_bound(data, uniform_measure(2), family, 10.0,
+                       parameterization=parameterization)
 
 
 # ---------------------------------------------------------------------------

@@ -12,15 +12,12 @@ from scipy.special import logsumexp
 
 from drovar.divergences import alpha_family, f_eval, kl_family
 from drovar.dual_core import (
-    ConjugatePair,
     DualPoint,
-    SQUARE_PAIR,
     _kl_log_mean,
     alpha_inner_lambda,
     alpha_reduced_gradient,
     alpha_reduced_objective,
     check_eta,
-    dual_objective_general,
     dual_objective_mean,
     dual_objective_variance,
     gradient_variance,
@@ -68,15 +65,6 @@ def test_check_eta_bounds():
     with pytest.raises(ValidationError):
         check_eta(4.0, A_HALF)  # at the cap 1/(alpha*(1-alpha))
     check_eta(3.999, A_HALF)
-
-
-def test_conjugate_pair_rejects_non_conjugates():
-    with pytest.raises(ValidationError):
-        ConjugatePair(
-            g=lambda z: z * z,
-            g_conj=lambda v: -abs(v),
-            g_conj_deriv=lambda v: 0.0,
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -129,36 +117,6 @@ def test_objective_is_plus_inf_outside_conjugate_domain():
         DualPoint(1.0, 2.0, 0.0), BERNOULLI, HALF, A_HALF, 0.5
     )
     assert math.isfinite(ok)
-
-
-def test_variance_is_the_square_pair_of_general():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        data, p = random_instance(rng, 3)
-        dp = DualPoint(rng.uniform(0.3, 3.0), rng.normal(), rng.normal())
-        a = dual_objective_variance(dp, data, p, KL, 0.3)
-        b = dual_objective_general(dp, data.psi, data.phi, SQUARE_PAIR, p, KL, 0.3)
-        assert a == b
-
-
-QUARTIC_PAIR = ConjugatePair(
-    g=lambda z: z**4 / 4.0,
-    g_conj=lambda v: 0.75 * abs(v) ** (4.0 / 3.0),
-    g_conj_deriv=lambda v: math.copysign(abs(v) ** (1.0 / 3.0), v),
-)
-
-
-def test_general_objective_with_quartic_penalty():
-    val = dual_objective_general(
-        DualPoint(1.0, 0.0, 2.0), BERNOULLI.psi, BERNOULLI.phi,
-        QUARTIC_PAIR, HALF, KL, 0.1,
-    )
-    assert val == pytest.approx(2.2414889370463373, abs=1e-12)
-    at_zero = dual_objective_general(
-        DualPoint(1.0, 0.0, 0.0), BERNOULLI.psi, BERNOULLI.phi,
-        QUARTIC_PAIR, HALF, KL, 0.1,
-    )
-    assert at_zero == pytest.approx(0.7839397205857213, abs=1e-14)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,6 +281,27 @@ def test_import_pulls_in_no_scipy():
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "[]"
+
+
+def test_perfbench_traced_mode_installs():
+    # perfbench's traced mode wraps library names by attribute; a deleted or
+    # renamed name breaks `run.py --trace 1`.  A subprocess keeps this
+    # process's modules unpatched.
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys; "
+        f"sys.path[:0] = [{str(root / 'perfbench')!r}, {str(root / 'src')!r}]; "
+        "import numpy as np, spans, drovar.solver as solver; "
+        "from drovar import ProblemData, kl_family, uniform_measure; "
+        "rec = spans.Recorder(); spans.install_library(rec); "
+        "data = ProblemData(rho=np.zeros(2), phi=np.array([0.0, 1.0])); "
+        "solver.variance_bound(data, uniform_measure(2), kl_family(), 0.1); "
+        "print(len(rec.spans))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    assert int(out.stdout) > 0
 
 
 # ---------------------------------------------------------------------------
