@@ -6,8 +6,8 @@ put that revision's src/ on PYTHONPATH and give the run a label.  Each run
 writes its section into the JSON file under that label and keeps the
 sections of other labels, so two revisions land side by side in one file.
 
-    PYTHONPATH=<old>/src python scripts/bench.py --label parent
-    PYTHONPATH=src python scripts/bench.py --label change
+    PYTHONPATH=<old>/src python scripts/bench.py --label parent --out BENCH_7.json
+    PYTHONPATH=src python scripts/bench.py --label change --out BENCH_7.json
 
 Recorded per label:
 
@@ -172,7 +172,7 @@ def bench_sweep() -> dict:
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="section name, e.g. parent or change")
-    ap.add_argument("--out", default="BENCH_4.json", help="JSON file to update")
+    ap.add_argument("--out", required=True, help="JSON file to update")
     ap.add_argument("--repeats", type=int, default=5, help="timed runs per median")
     args = ap.parse_args()
 

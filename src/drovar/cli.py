@@ -11,8 +11,9 @@ Subcommands:
 Input is CSV: columns rho, phi and optional weight for the bound subcommands;
 columns r1..rd and optional weight for robust.  Zero weights drop the atom.
 Output is JSON on stdout with floats at 12 significant digits; repeated runs
-on identical inputs are byte-identical.  Exit codes: 0 success, 2 bad
-input/config, 3 oracle gap beyond tolerance, 5 oracle size unsupported.
+on identical inputs are byte-identical.  Exit codes: 0 success, 1 stdout
+closed early, 2 bad input/config, 3 oracle gap beyond tolerance, 5 oracle
+size unsupported.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -239,7 +241,7 @@ def _cmd_oracle_check(args) -> int:
     data, p = ingest_bound_csv(args.input)
     family = parse_family(args.divergence)
     res = variance_bound(data, p, family, args.eta)
-    oracle_cfg = OracleConfig(grid_per_dim=args.grid) if args.grid else OracleConfig()
+    oracle_cfg = OracleConfig(grid_per_dim=args.grid)
     oracle_value, _ = primal_sup_grid(data, p, family, args.eta, oracle_cfg)
     gap = res.value - oracle_value
     record = bound_record(res, args.eta, family)
@@ -324,13 +326,21 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with np.errstate(over="ignore"):
-            return args.handler(args)
+            code = args.handler(args)
+        # flush here, so a closed pipe surfaces inside this try
+        sys.stdout.flush()
+        return code
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except UnsupportedSizeError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 5
+    except BrokenPipeError:
+        # the reader closed stdout early: point it at devnull so the
+        # interpreter's final flush raises nothing either
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

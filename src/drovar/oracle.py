@@ -2,21 +2,23 @@
 the divergence ball, for 2- or 3-atom problems only.
 
 The oracle shares no dual machinery: it evaluates the primal objective and
-the divergence constraint directly on simplex grids, then refines a shrinking
-window around the incumbent (shrink capped at factor 100 per round).  The
-window is never shrunk past the bounding box of the near-best feasible grid
-points: when the maximizer sits on the curved constraint boundary, the
-near-optimal level set is an arc of length ~ sqrt(spacing), so a fixed zoom
-around the single best point routinely loses the true argmax.  Because the
-objective is concave and the ball convex, that level set is connected and its
-bounding box brackets the maximizer.  Ties on a grid break toward the smaller
-first coordinate.
+the divergence constraint directly on simplex grids.  One refinement loop
+serves both sizes: it grids the n - 1 free coordinates q_1..q_{n-1}, sets
+q_n = 1 - their sum, and refines a shrinking window around the incumbent
+(shrink capped at factor 100 per round).  The window is never shrunk past
+the bounding box of the near-best feasible grid points: when the maximizer
+sits on the curved constraint boundary, the near-optimal level set is an arc
+of length ~ sqrt(spacing), so a fixed zoom around the single best point
+routinely loses the true argmax.  Because the objective is concave and the
+ball convex, that level set is connected and its bounding box brackets the
+maximizer.  Ties on a grid break toward the smaller first coordinate.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -31,6 +33,10 @@ _ARGMAX_FLOOR = 1e-12
 
 @dataclass(frozen=True)
 class OracleConfig:
+    """grid_per_dim counts grid points per free axis (default 4001 for n = 2,
+    1201 for n = 3), so one n = 3 round evaluates grid_per_dim**2 points;
+    refine_rounds counts the zoomed rounds after the first full grid."""
+
     grid_per_dim: int | None = None
     refine_rounds: int = 3
 
@@ -99,9 +105,7 @@ def primal_sup_grid(
             f"the grid oracle handles 2 or 3 atoms, got {n}"
         )
     g = cfg.grid_per_dim or _DEFAULT_GRID[n]
-    if n == 2:
-        return _sup_two(data, p, family, eta, g, cfg.refine_rounds)
-    return _sup_three(data, p, family, eta, g, cfg.refine_rounds)
+    return _sup_grid(data, p, family, eta, g, cfg.refine_rounds)
 
 
 def _value_slack(data: ProblemData, spacing: float) -> float:
@@ -112,79 +116,47 @@ def _value_slack(data: ProblemData, spacing: float) -> float:
     return 4.0 * spacing * max(lip, 1e-12)
 
 
-def _sup_two(data, p, family, eta, g, rounds):
-    pw = p.weights
-    lo, hi = 0.0, 1.0
+def _sup_grid(data, p, family, eta, g, rounds):
+    """Grid search over the k = n - 1 free coordinates q_1..q_k, with
+    q_n = 1 - their sum; each round shrinks the window around the incumbent."""
+    k = len(p) - 1
+    win = [(0.0, 1.0)] * k
+    others = [tuple(a for a in range(k) if a != i) for i in range(k)]
     best_v = -math.inf
     best_t = None
     for _ in range(rounds + 1):
-        ts = np.linspace(lo, hi, g)
-        spacing = (hi - lo) / (g - 1)
-        cols = (ts, 1.0 - ts)
-        feas = _divergence_batch(cols, pw, family) <= eta
-        near_lo = near_hi = None
-        if feas.any():
-            vals = np.where(feas, _value_batch(cols, data), -math.inf)
-            i = int(np.argmax(vals))
-            if vals[i] > best_v:
-                best_v = float(vals[i])
-                best_t = float(ts[i])
-            near = vals >= vals[i] - _value_slack(data, spacing)
-            near_lo = float(ts[np.argmax(near)])
-            near_hi = float(ts[len(near) - 1 - np.argmax(near[::-1])])
-        center = best_t if best_t is not None else float(pw[0])
-        half = (hi - lo) / (2.0 * _ZOOM)
-        lo_new, hi_new = center - half, center + half
-        if near_lo is not None:
-            # never shrink past the near-best level set: the maximizer hides
-            # anywhere inside it, two spacings of margin cover the gridding
-            lo_new = min(lo_new, near_lo - 2.0 * spacing)
-            hi_new = max(hi_new, near_hi + 2.0 * spacing)
-        lo, hi = max(0.0, lo_new), min(1.0, hi_new)
-    if best_t is None:
-        raise ValidationError("no feasible grid point found")
-    return best_v, _argmax_measure(np.array([best_t, 1.0 - best_t]))
-
-
-def _sup_three(data, p, family, eta, g, rounds):
-    pw = p.weights
-    win = [(0.0, 1.0), (0.0, 1.0)]
-    best_v = -math.inf
-    best_t = None
-    for _ in range(rounds + 1):
-        t1 = np.linspace(win[0][0], win[0][1], g)
-        t2 = np.linspace(win[1][0], win[1][1], g)
-        spacing = max(win[0][1] - win[0][0], win[1][1] - win[1][0]) / (g - 1)
-        # q_1 varies along grid rows and q_2 along columns, so their columns
-        # stay 1-d and broadcast; only q_3 is a full (g, g) array
-        c1, c2 = t1[:, None], t2[None, :]
-        cols = (c1, c2, np.maximum(1.0 - c1 - c2, 0.0))
-        feas = (_divergence_batch(cols, pw, family) <= eta) & (c1 + c2 <= 1.0 + 1e-12)
+        axes = [np.linspace(lo, hi, g) for lo, hi in win]
+        spacing = max(hi - lo for lo, hi in win) / (g - 1)
+        # q_i varies along grid axis i only, so the free columns stay 1-d
+        # views that broadcast; only q_n is a full grid
+        free = [t.reshape((g,) + (1,) * (k - 1 - i)) for i, t in enumerate(axes)]
+        cols = (*free, np.maximum(reduce(np.subtract, free, 1.0), 0.0))
+        feas = ((_divergence_batch(cols, p.weights, family) <= eta)
+                & (reduce(np.add, free) <= 1.0 + 1e-12))
         near_box = None
         if feas.any():
             vals = np.where(feas, _value_batch(cols, data), -math.inf)
-            i, j = np.unravel_index(int(np.argmax(vals)), vals.shape)
-            if vals[i, j] > best_v:
-                best_v = float(vals[i, j])
-                best_t = (float(t1[i]), float(t2[j]))
-            near = vals >= vals[i, j] - _value_slack(data, spacing)
-            rows, columns = t1[near.any(axis=1)], t2[near.any(axis=0)]
-            near_box = (
-                (float(rows.min()), float(rows.max())),
-                (float(columns.min()), float(columns.max())),
-            )
-        center = best_t if best_t is not None else (float(pw[0]), float(pw[1]))
+            idx = np.unravel_index(int(np.argmax(vals)), vals.shape)
+            if vals[idx] > best_v:
+                best_v = float(vals[idx])
+                best_t = [float(t[j]) for t, j in zip(axes, idx)]
+            near = vals >= vals[idx] - _value_slack(data, spacing)
+            near_box = [(float(ts.min()), float(ts.max()))
+                        for ts in (t[near.any(axis=o)] for t, o in zip(axes, others))]
+        center = best_t if best_t is not None else [float(w) for w in p.weights[:k]]
         new_win = []
-        for k in range(2):
-            half = (win[k][1] - win[k][0]) / (2.0 * _ZOOM)
-            lo, hi = center[k] - half, center[k] + half
+        for i in range(k):
+            half = (win[i][1] - win[i][0]) / (2.0 * _ZOOM)
+            lo, hi = center[i] - half, center[i] + half
             if near_box is not None:
-                # see _sup_two: the window keeps the near-best level set
-                lo = min(lo, near_box[k][0] - 2.0 * spacing)
-                hi = max(hi, near_box[k][1] + 2.0 * spacing)
+                # never shrink past the near-best level set: the maximizer
+                # hides anywhere inside it, two spacings of margin cover the
+                # gridding
+                lo = min(lo, near_box[i][0] - 2.0 * spacing)
+                hi = max(hi, near_box[i][1] + 2.0 * spacing)
             new_win.append((max(0.0, lo), min(1.0, hi)))
         win = new_win
     if best_t is None:
         raise ValidationError("no feasible grid point found")
-    q = np.array([best_t[0], best_t[1], max(1.0 - best_t[0] - best_t[1], 0.0)])
+    q = np.array([*best_t, max(reduce(np.subtract, best_t, 1.0), 0.0)])
     return best_v, _argmax_measure(q)

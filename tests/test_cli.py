@@ -142,6 +142,10 @@ def test_oracle_check_exit_codes(skewed_csv):
     bad = run_cli("oracle-check", "--input", skewed_csv,
                   "--divergence", "kl", "--eta", "0.1", "--tol", "0")
     assert bad.returncode == 2
+    # a zero grid is a bad grid, not a request for the default one
+    bad = run_cli("oracle-check", "--input", skewed_csv,
+                  "--divergence", "kl", "--eta", "0.1", "--grid", "0")
+    assert bad.returncode == 2
 
 
 def test_robust_subcommand_box_and_simplex(tmp_path):
@@ -244,6 +248,25 @@ def test_sweep_grid_validation(bernoulli_csv):
     out = run_cli("sweep", "--input", bernoulli_csv, "--divergence", "kl",
                   "--eta-min", "0.1", "--eta-max", "0.3", "--steps", "1")
     assert out.returncode == 2
+
+
+def test_closed_stdout_is_exit_one_without_traceback(tmp_path):
+    # 10^4 tilt weights overflow the 64 KiB pipe buffer, so the write that
+    # meets the closed pipe happens inside the command, not at exit
+    rng = np.random.default_rng(7)
+    big = tmp_path / "big.csv"
+    rows = "".join(f"{r},{f}\n" for r, f in rng.uniform(-1.0, 1.0, (10_000, 2)).tolist())
+    big.write_text("rho,phi\n" + rows)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "drovar", "bound-variance", "--input", str(big),
+         "--divergence", "kl", "--eta", "0.2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    proc.stdout.read(100)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert stderr == b""
 
 
 def test_oracle_check_unsupported_size(tmp_path):

@@ -1,5 +1,7 @@
 """The brute-force primal oracle: grid sup over the feasible simplex slice."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -84,6 +86,27 @@ def test_oracle_never_beats_the_dual_bound():
             oracle, _ = primal_sup_grid(data, p, fam, 0.2)
             assert oracle <= bound + 1e-8
             assert oracle >= bound - 1e-4
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_oracle_ignores_the_order_of_the_atoms(n):
+    # every permutation moves rho, phi and p together, so the problem is the
+    # same; the grid differs per ordering, hence the tolerance
+    rng = np.random.default_rng([71, n])
+    families = (KL, A2, alpha_family(0.5))
+    cfg = OracleConfig(grid_per_dim=401) if n == 3 else OracleConfig()
+    for i in range(6):
+        fam, eta = families[i % 3], (0.05, 0.2, 0.5)[i // 2]
+        data, p = random_instance(rng, n)
+        bound = variance_bound(data, p, fam, eta).value
+        values = []
+        for perm in itertools.permutations(range(n)):
+            perm = list(perm)
+            permuted = ProblemData(rho=data.rho[perm], phi=data.phi[perm])
+            q = EmpiricalMeasure(p.weights[perm])
+            values.append(primal_sup_grid(permuted, q, fam, eta, cfg)[0])
+        assert max(values) - min(values) <= 1e-4
+        assert max(values) <= bound + 1e-9
 
 
 def test_more_refinement_never_loses_value():
