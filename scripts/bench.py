@@ -1,13 +1,13 @@
-"""Timing and work counts for the robust outer solve, single bound solves and
-the duality sweep.
+"""Timing and work counts for the robust outer solve, single bound solves,
+the duality sweep and the CLI's cold start.
 
 Uses only drovar's public API, so the same script measures any revision:
 put that revision's src/ on PYTHONPATH and give the run a label.  Each run
 writes its section into the JSON file under that label and keeps the
 sections of other labels, so two revisions land side by side in one file.
 
-    PYTHONPATH=<old>/src python scripts/bench.py --label parent --out BENCH_7.json
-    PYTHONPATH=src python scripts/bench.py --label change --out BENCH_7.json
+    PYTHONPATH=<old>/src python scripts/bench.py --label parent --out BENCH_8.json
+    PYTHONPATH=src python scripts/bench.py --label change --out BENCH_8.json
 
 Recorded per label:
 
@@ -20,7 +20,11 @@ Recorded per label:
 - sweep: acceptance criterion 1's 900 instances (rng 90210), solved and
   checked by the grid oracle as that test does, run once, with the dual-solve
   seconds per family and the oracle seconds per atom count kept apart, the
-  statuses per family and the worst |bound - oracle|.
+  statuses per family and the worst |bound - oracle|;
+- cli: the median wall time in ms, over 4 x repeats fresh processes each, of
+  `python -c "import drovar.cli"` and of one `python -m drovar
+  bound-variance` on a 3-row CSV.  The processes inherit PYTHONPATH, so
+  they run the same revision.
 
 BLAS is held at one thread unless the environment sets otherwise, so the
 numbers measure the code, not the host's core count.
@@ -35,7 +39,11 @@ import argparse
 import json
 import platform
 import statistics
+import subprocess
+import sys
+import tempfile
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -169,6 +177,24 @@ def bench_sweep() -> dict:
             "statuses": statuses, "worst_gap": worst}
 
 
+def bench_cli(repeats: int) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        three = Path(tmp) / "three.csv"
+        three.write_text("rho,phi\n0.1,0.5\n-0.2,0.1\n0.3,-0.4\n")
+        commands = {
+            "import_ms": [sys.executable, "-c", "import drovar.cli"],
+            "bound_variance_ms": [sys.executable, "-m", "drovar", "bound-variance",
+                                  "--input", str(three), "--divergence", "kl",
+                                  "--eta", "0.1"],
+        }
+        out = {}
+        for name, cmd in commands.items():
+            run = partial(subprocess.run, cmd, check=True, capture_output=True)
+            run()  # warm-up: file cache and .pyc files
+            out[name] = round(median_ms(run, 4 * repeats), 3)
+    return out
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="section name, e.g. parent or change")
@@ -184,6 +210,7 @@ def main() -> None:
         "robust": bench_robust(args.repeats),
         "solve_ms": bench_solves(args.repeats),
         "sweep": bench_sweep(),
+        "cli": bench_cli(args.repeats),
     }
     path = Path(args.out)
     doc = json.loads(path.read_text()) if path.exists() else {}
@@ -196,6 +223,7 @@ def main() -> None:
     sweep = section["sweep"]
     print(f"sweep dual {sweep['dual_s']} s, oracle {sweep['oracle_s']} s, "
           f"worst gap {sweep['worst_gap']:.2e}")
+    print(f"cli {section['cli']} ms")
 
 
 if __name__ == "__main__":

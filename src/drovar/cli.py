@@ -8,12 +8,12 @@ Subcommands:
     oracle-check    bound-variance cross-checked against the primal grid oracle
     robust          projected-gradient minimization over decisions (box or simplex)
 
-Input is CSV: columns rho, phi and optional weight for the bound subcommands;
-columns r1..rd and optional weight for robust.  Zero weights drop the atom.
-Output is JSON on stdout with floats at 12 significant digits; repeated runs
-on identical inputs are byte-identical.  Exit codes: 0 success, 1 stdout
-closed early, 2 bad input/config, 3 oracle gap beyond tolerance, 5 oracle
-size unsupported.
+Input is UTF-8 CSV, a leading byte-order mark allowed: columns rho, phi and
+optional weight for the bound subcommands, r1..rd and optional weight for robust.
+Zero weights drop the atom.  Output is JSON on stdout with floats at 12
+significant digits; repeated runs on identical inputs are byte-identical.
+Exit codes: 0 success, 1 stdout closed early, 2 bad input/config, 3 oracle
+gap beyond tolerance, 5 oracle size unsupported.
 """
 
 from __future__ import annotations
@@ -121,18 +121,20 @@ def bound_record(res, eta: float, family) -> dict:
 def _read_rows(path: str) -> tuple[list[str], list[dict]]:
     """The stripped header names and the data rows, keyed by those names."""
     try:
-        fh = open(path, newline="")
+        # utf-8-sig drops the byte-order mark that spreadsheets write
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.DictReader(fh)
+            if reader.fieldnames is None:
+                raise ValidationError(f"input file {path!r} is empty")
+            reader.fieldnames = names = [n.strip() for n in reader.fieldnames]
+            twice = sorted({n for n in names if n and names.count(n) > 1})
+            if twice:
+                raise ValidationError(f"duplicate column names {twice} in {path!r}")
+            rows = list(reader)
     except OSError as exc:
-        raise ValidationError(f"cannot open input file {path!r}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
-            raise ValidationError(f"input file {path!r} is empty")
-        reader.fieldnames = names = [n.strip() for n in reader.fieldnames]
-        twice = sorted({n for n in names if n and names.count(n) > 1})
-        if twice:
-            raise ValidationError(f"duplicate column names {twice} in {path!r}")
-        rows = list(reader)
+        raise ValidationError(f"cannot read input file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"input file {path!r} is not UTF-8 text: {exc}") from exc
     if not rows:
         raise ValidationError(f"input file {path!r} has no data rows")
     return names, rows
@@ -227,10 +229,13 @@ def _cmd_sweep(args) -> int:
         records.append(bound_record(res, float(eta), family))
     print(render_json(records))
     if args.curve_out:
-        with open(args.curve_out, "w", newline="") as fh:
-            fh.write("eta,bound\n")
-            for rec in records:
-                fh.write(f"{_fmt_float(rec['eta'])},{_fmt_float(rec['bound'])}\n")
+        try:
+            with open(args.curve_out, "w", newline="") as fh:
+                fh.write("eta,bound\n")
+                for rec in records:
+                    fh.write(f"{_fmt_float(rec['eta'])},{_fmt_float(rec['bound'])}\n")
+        except OSError as exc:
+            raise ValidationError(f"cannot write curve file {args.curve_out!r}: {exc}") from exc
     return 0
 
 

@@ -187,6 +187,29 @@ def test_header_names_may_carry_spaces(tmp_path, plain, spaced, args):
     assert outs[0].stdout == outs[1].stdout
 
 
+@pytest.mark.parametrize(
+    "text, args",
+    [
+        ("rho,phi,weight\n0,0,1\n0,1,3\n",
+         ("bound-variance", "--divergence", "kl", "--eta", "0.1")),
+        ("r1,r2\n1.2,-0.3\n-0.8,0.1\n0.4,0.05\n",
+         ("robust", "--divergence", "kl", "--eta", "0.1", "--box", "0", "1")),
+    ],
+    ids=["bound-variance", "robust"],
+)
+def test_byte_order_mark_is_ignored(tmp_path, text, args):
+    # spreadsheets write UTF-8 CSV with a leading byte-order mark
+    outs = []
+    for name, encoding in (("plain.csv", "utf-8"), ("bom.csv", "utf-8-sig")):
+        path = tmp_path / name
+        path.write_text(text, encoding=encoding)
+        outs.append(run_cli(*args, "--input", str(path)))
+    assert (tmp_path / "bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+    assert outs[0].returncode == 0, outs[0].stderr
+    assert outs[1].returncode == 0, outs[1].stderr
+    assert outs[0].stdout == outs[1].stdout
+
+
 # ---------------------------------------------------------------------------
 # documented failure exit codes
 
@@ -225,6 +248,31 @@ def test_empty_file_is_rejected(tmp_path):
     out = run_cli("bound-variance", "--input", str(bad),
                   "--divergence", "kl", "--eta", "0.1")
     assert out.returncode == 2
+
+
+def _one_error_line(stderr: bytes) -> bool:
+    return stderr.startswith(b"error:") and stderr.count(b"\n") == 1
+
+
+def test_non_utf8_input_is_exit_two_without_traceback(tmp_path):
+    bad = tmp_path / "latin.csv"
+    bad.write_bytes(b"rho,phi\n0,0\n0,\xff1\n")
+    out = run_cli("bound-variance", "--input", str(bad),
+                  "--divergence", "kl", "--eta", "0.1")
+    assert out.returncode == 2
+    assert _one_error_line(out.stderr), out.stderr
+    assert b"Traceback" not in out.stderr
+
+
+def test_unwritable_curve_out_is_exit_two_without_traceback(bernoulli_csv, tmp_path):
+    curve = tmp_path / "missing" / "curve.csv"
+    out = run_cli("sweep", "--input", bernoulli_csv, "--divergence", "kl",
+                  "--eta-min", "0.1", "--eta-max", "0.3", "--steps", "3",
+                  "--curve-out", str(curve))
+    assert out.returncode == 2
+    assert _one_error_line(out.stderr), out.stderr
+    assert b"Traceback" not in out.stderr
+    assert not curve.exists()
 
 
 @pytest.mark.parametrize(

@@ -23,7 +23,12 @@ from drovar.solver import (
     BOUNDARY_LAMBDA,
     CONVERGED,
     MAX_ITERS,
+    ROOT,
+    SPENT,
+    STALLED,
+    Budget,
     SolverConfig,
+    _root,
     mean_bound,
     variance_bound,
 )
@@ -186,6 +191,87 @@ def test_boundary_tilts_lie_in_the_ball(fam):
         assert abs(res.tilt.weights.sum() - 1.0) <= 1e-9
         assert res.diagnostics.achieved_divergence <= eta * (1.0 + 1e-9)
     assert boundary >= 10
+
+
+# ---------------------------------------------------------------------------
+# the root finder that the outer loop and every kernel share
+
+
+def _traced(g, dg=None):
+    """fn for _root from g (and dg), keeping each evaluated x; at is (x, g(x))."""
+    xs = []
+
+    def fn(x):
+        xs.append(x)
+        return g(x), None if dg is None else dg(x), (x, g(x))
+
+    return fn, xs
+
+
+def _check_at(x, at, g, xs, budget):
+    # at is the evaluation at the returned x, which is the last point evaluated
+    assert at == (x, g(x))
+    assert x == xs[-1]
+    assert budget.used == len(xs)
+
+
+@pytest.mark.parametrize("newton", [True, False], ids=["newton", "secant"])
+def test_root_reaches_the_root(newton):
+    def g(x):
+        return x ** 3 - 2.0
+
+    fn, xs = _traced(g, (lambda x: 3.0 * x * x) if newton else None)
+    budget = Budget(100)
+    x, state, at = _root(fn, 1.0, -10.0, 10.0, 1e-12, 1.0, budget)
+    assert state == ROOT
+    assert abs(g(x)) <= 1e-12
+    assert x == pytest.approx(2.0 ** (1.0 / 3.0), abs=1e-12)
+    _check_at(x, at, g, xs, budget)
+
+
+def test_root_grows_by_doubling_toward_an_unbounded_end():
+    # tanh is flat far from its root, so every early Newton step leaves
+    # (lo, hi) and the step toward the unseen upper end doubles instead
+    def g(x):
+        return math.tanh((x - 300.25) / 20.0)
+
+    fn, xs = _traced(g, lambda x: (1.0 - g(x) ** 2) / 20.0)
+    budget = Budget(200)
+    x, state, at = _root(fn, 0.0, -500.0, 500.0, 1e-12, 1.0, budget)
+    assert xs[:9] == [0.0, 1.0, 3.0, 7.0, 15.0, 31.0, 63.0, 127.0, 255.0]
+    assert state == ROOT
+    assert x == pytest.approx(300.25, abs=1e-9)
+    _check_at(x, at, g, xs, budget)
+
+
+def test_root_stalls_on_a_jump():
+    jump = 0.3
+
+    def g(x):
+        return -1.0 if x < jump else 1.0
+
+    fn, xs = _traced(g)
+    budget = Budget(10_000)
+    x, state, at = _root(fn, 0.5, 0.0, 1.0, 1e-3, 1.0, budget)
+    assert state == STALLED
+    assert budget.used < budget.limit
+    # no float lies strictly between x and the jump
+    assert x == jump or math.nextafter(x, jump) == jump
+    _check_at(x, at, g, xs, budget)
+
+
+def test_root_stops_when_the_budget_is_spent():
+    # three Newton steps from 1 leave the cube root of 2 about 1e-6 away
+    def g(x):
+        return x ** 3 - 2.0
+
+    fn, xs = _traced(g, lambda x: 3.0 * x * x)
+    budget = Budget(3)
+    x, state, at = _root(fn, 1.0, -10.0, 10.0, 1e-12, 1.0, budget)
+    assert state == SPENT
+    assert abs(g(x)) > 1e-12
+    assert budget.used == budget.limit == 3
+    _check_at(x, at, g, xs, budget)
 
 
 # ---------------------------------------------------------------------------
