@@ -19,6 +19,7 @@ gap beyond tolerance, 5 oracle size unsupported.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import math
@@ -131,10 +132,8 @@ def _read_rows(path: str) -> tuple[list[str], list[dict]]:
             if twice:
                 raise ValidationError(f"duplicate column names {twice} in {path!r}")
             rows = list(reader)
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read input file {path!r}: {exc}") from exc
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"input file {path!r} is not UTF-8 text: {exc}") from exc
     if not rows:
         raise ValidationError(f"input file {path!r} has no data rows")
     return names, rows
@@ -223,19 +222,20 @@ def _cmd_sweep(args) -> int:
     family = parse_family(args.divergence)
     cfg = _solver_config(args)
     etas = np.linspace(args.eta_min, args.eta_max, args.steps)
-    records = []
-    for eta in etas:
-        res = variance_bound(data, p, family, float(eta), config=cfg)
-        records.append(bound_record(res, float(eta), family))
-    print(render_json(records))
-    if args.curve_out:
-        try:
-            with open(args.curve_out, "w", newline="") as fh:
-                fh.write("eta,bound\n")
-                for rec in records:
-                    fh.write(f"{_fmt_float(rec['eta'])},{_fmt_float(rec['bound'])}\n")
-        except OSError as exc:
-            raise ValidationError(f"cannot write curve file {args.curve_out!r}: {exc}") from exc
+    try:  # opened before the solves, so a bad path fails before any work
+        curve = open(args.curve_out, "w", newline="") if args.curve_out else None
+    except OSError as exc:
+        raise ValidationError(f"cannot write curve file {args.curve_out!r}: {exc}") from exc
+    with curve or contextlib.nullcontext():
+        records = []
+        for eta in etas:
+            res = variance_bound(data, p, family, float(eta), config=cfg)
+            records.append(bound_record(res, float(eta), family))
+        print(render_json(records))
+        if curve is not None:
+            curve.write("eta,bound\n")
+            for rec in records:
+                curve.write(f"{_fmt_float(rec['eta'])},{_fmt_float(rec['bound'])}\n")
     return 0
 
 
