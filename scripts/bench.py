@@ -18,7 +18,7 @@ Recorded per label:
 - solve: the median wall time in ms of one variance_bound at n = 10, 10^3
   and 10^5 atoms for kl, alpha:2, alpha:0.5, alpha:0.1 and alpha:8;
 - sweep: acceptance criterion 1's 900 instances (rng 90210), solved and
-  checked by the grid oracle as that test does, run once, with the dual-solve
+  checked by the oracle as that test does, run once, with the dual-solve
   seconds per family and the oracle seconds per atom count kept apart, the
   statuses per family and the worst |bound - oracle|;
 - cli: the median wall time in ms, over 4 x repeats fresh processes each, of

@@ -5,7 +5,7 @@ Subcommands:
     bound-mean      worst-case mean of rho over the divergence ball
     bound-variance  worst-case mean-plus-variance objective
     sweep           bound-variance across an eta grid (JSON array; optional CSV)
-    oracle-check    bound-variance cross-checked against the primal grid oracle
+    oracle-check    bound-variance cross-checked against the primal slice oracle
     robust          projected-gradient minimization over decisions (box or simplex)
 
 Input is UTF-8 CSV, a leading byte-order mark allowed: columns rho, phi and
@@ -313,9 +313,11 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--curve-out", default=None, help="write eta,bound CSV here")
     sw.set_defaults(handler=_cmd_sweep)
 
-    oc = sub.add_parser("oracle-check", help="compare against the primal grid oracle")
+    oc = sub.add_parser("oracle-check", help="compare against the primal slice oracle")
     common(oc)
-    oc.add_argument("--grid", type=int, default=None, help="oracle grid points per dim")
+    oc.add_argument("--grid", type=int, default=None,
+                    help="oracle t-grid points for 3 atoms (default 1201, at least 101); "
+                    "2 atoms are one exact slice")
     oc.set_defaults(handler=_cmd_oracle_check)
 
     rb = sub.add_parser("robust", help="minimize the worst case over decisions")

@@ -10,4 +10,4 @@ class DerivativeUnavailable(RuntimeError):
 
 
 class UnsupportedSizeError(ValueError):
-    """The brute-force primal oracle only handles 2 or 3 atoms."""
+    """The primal oracle only handles 2 or 3 atoms."""

@@ -252,11 +252,16 @@ def _alpha_mean(u, w, family, eta, tol, budget, start) -> WorstMean:
     top, v, span, on_top, pa = _split(u, w)
     if span == 0.0 or sg * (log_c + math.log(pa) / k) >= -math.log1p(tol):
         return _at_top(top, w, on_top, pa, start)
+    vs = v / span
+    # for alpha < 1 the density rho^(k-1) is 1 on A and about exp(z/(1-alpha))
+    # elsewhere, so a light top atom puts the root near (1-alpha)*log(min w):
+    # the bracket reaches twice that, as far as exp(-z) stays finite
+    z_lo = max(min(-_Z_RANGE, 2.0 * (1.0 - a) * math.log(float(w.min()))), -EXP_ARG_CAP)
 
     def fn(z):
         # rho = (sg*(u - beta))_+ / d is 1 on A, >= 1 for alpha < 1; ck = C*E_P[rho^k]^(1/k)
         d = math.exp(z) * span
-        rho = v / (sg * d) + 1.0
+        rho = vs * (sg * math.exp(-z)) + 1.0
         if sg > 0.0:
             rho = np.maximum(rho, 0.0)
         wr1 = w * rho ** (k - 1.0)
@@ -269,7 +274,7 @@ def _alpha_mean(u, w, family, eta, tol, budget, start) -> WorstMean:
 
     if start is None:
         start = _first_z(v, w, eta, lambda m, r: (r / abs(a - 1.0) - sg * m) / span)
-    z, _, (d, wr1, wr2, s1, sk, ck) = _root(fn, start, -_Z_RANGE, _Z_RANGE, tol, 1.0, budget)
+    z, _, (d, wr1, wr2, s1, sk, ck) = _root(fn, start, z_lo, _Z_RANGE, tol, 1.0, budget)
     beta = top - d if sg > 0.0 else max(top + d, math.nextafter(top, math.inf))
     # the curvature factor divides by d and s1 in turn: their product can underflow
     return WorstMean(top + sg * d * (ck - 1.0), wr1 / s1, ck * s1 / sk, False,

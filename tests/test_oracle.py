@@ -1,14 +1,16 @@
-"""The brute-force primal oracle: grid sup over the feasible simplex slice."""
+"""The primal oracle: exact slices of the divergence ball, checked against a
+dense brute-force grid and the dual bound."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from drovar.divergences import alpha_family, kl_family
+from drovar.divergences import alpha_family, f_eval, kl_family
 from drovar.errors import UnsupportedSizeError, ValidationError
 from drovar.measures import EmpiricalMeasure, ProblemData, divergence_of, uniform_measure
-from drovar.oracle import OracleConfig, primal_sup_grid, primal_value
+from drovar.oracle import OracleConfig, _ends, primal_sup_grid, primal_value
 from drovar.solver import variance_bound
 
 from _instances import random_instance
@@ -91,7 +93,7 @@ def test_oracle_never_beats_the_dual_bound():
 @pytest.mark.parametrize("n", [2, 3])
 def test_oracle_ignores_the_order_of_the_atoms(n):
     # every permutation moves rho, phi and p together, so the problem is the
-    # same; the grid differs per ordering, hence the tolerance
+    # same
     rng = np.random.default_rng([71, n])
     families = (KL, A2, alpha_family(0.5))
     cfg = OracleConfig(grid_per_dim=401) if n == 3 else OracleConfig()
@@ -105,7 +107,7 @@ def test_oracle_ignores_the_order_of_the_atoms(n):
             permuted = ProblemData(rho=data.rho[perm], phi=data.phi[perm])
             q = EmpiricalMeasure(p.weights[perm])
             values.append(primal_sup_grid(permuted, q, fam, eta, cfg)[0])
-        assert max(values) - min(values) <= 1e-4
+        assert max(values) - min(values) <= 1e-9
         assert max(values) <= bound + 1e-9
 
 
@@ -122,3 +124,72 @@ def test_tilt_matches_oracle_argmax_on_a_converged_instance():
     assert res.status == "Converged"
     _, argmax = primal_sup_grid(BERNOULLI, SKEWED, KL, 0.1)
     np.testing.assert_allclose(res.tilt.weights, argmax.weights, atol=1e-2)
+
+
+@pytest.mark.parametrize(
+    "fam", [KL, alpha_family(0.1), alpha_family(0.5), A2, alpha_family(8.0)],
+    ids=["kl", "alpha:0.1", "alpha:0.5", "alpha:2", "alpha:8"],
+)
+def test_slice_ends_are_feasible_as_evaluated(fam):
+    # every kept end passes the same sum the oracle tests, in the same order,
+    # and sits on the ball's boundary unless it is an edge of [0, R]
+    rng = np.random.default_rng(89)
+    pa, pb = rng.uniform(0.1, 1.0, 2) / 2.0
+    R = rng.uniform(0.0, 1.0 - pa - pb, 400) + pa + pb
+    base = rng.uniform(0.0, 0.3, 400)
+    for eta in (1e-6, 0.05, 0.5, 1.0):
+        for end in _ends(fam, pa, pb, R, base, eta):
+            ok = ~np.isnan(end)
+            div = (base + pa * f_eval(fam, end / pa)) + pb * f_eval(fam, (R - end) / pb)
+            assert np.all(div[ok] <= eta)
+            inner = ok & (end > 0.0) & (end < R)
+            assert np.all(div[inner] >= eta - 1e-12)
+
+
+def _dense_sup(data, p, family, eta, points=801 * 801):
+    """Brute-force reference: the objective's maximum over a dense grid of
+    the simplex (points grid points for 2 atoms, about points for 3),
+    masked to the ball."""
+    if len(p) == 2:
+        s = np.linspace(0.0, 1.0, points)
+        cols = (s, 1.0 - s)
+    else:
+        axis = np.linspace(0.0, 1.0, math.isqrt(points))
+        q1, q2 = axis[:, None], axis[None, :]
+        cols = (q1, q2, 1.0 - q1 - q2)
+    div = sum(pk * f_eval(family, col / pk) for col, pk in zip(cols, p.weights))
+    mean = sum(col * ph for col, ph in zip(cols, data.phi))
+    value = sum(col * ps for col, ps in zip(cols, data.psi)) - mean * mean
+    inside = (div <= eta) & (cols[-1] >= 0.0)
+    return float(np.max(np.where(inside, value, -np.inf)))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_oracle_matches_a_dense_grid_and_the_dual(n):
+    # the oracle's point is feasible, so it sits between the dense grid's
+    # best point and the dual bound, and strong duality closes the gap to the
+    # bound; the tolerances scale with c, the joint scaling
+    # (c*rho, sqrt(c)*phi) that multiplies the objective by c
+    rng = np.random.default_rng([83, n])
+    for fam in (KL, alpha_family(0.1), alpha_family(0.5), A2, alpha_family(8.0)):
+        for eta in (0.05, 0.5, 1.0):
+            data, p = random_instance(rng, n)
+            for c in (1e-6, 1.0, 1e6):
+                scaled = ProblemData(rho=c * data.rho, phi=math.sqrt(c) * data.phi)
+                value, _ = primal_sup_grid(scaled, p, fam, eta)
+                bound = variance_bound(scaled, p, fam, eta).value
+                assert value >= _dense_sup(scaled, p, fam, eta) - 1e-12 * c
+                assert value <= bound + 1e-9 * c
+                assert value >= bound - 1e-8 * c
+
+
+@pytest.mark.parametrize("fam", [KL, A2], ids=["kl", "alpha:2"])
+def test_oracle_reaches_a_vertex(fam):
+    # the sup 1 sits at q = (0, 0, 1), so slice ends lie on the simplex edge
+    data = ProblemData(rho=np.array([0.0, 0.0, 1.0]), phi=np.zeros(3))
+    p = uniform_measure(3)
+    value, argmax = primal_sup_grid(data, p, fam, 1.2)
+    assert value == 1.0
+    np.testing.assert_allclose(argmax.weights, [0.0, 0.0, 1.0], atol=1e-11)
+    assert value >= _dense_sup(data, p, fam, 1.2) - 1e-12
+    assert value <= variance_bound(data, p, fam, 1.2).value + 1e-9
