@@ -35,7 +35,6 @@ from .measures import EmpiricalMeasure, ProblemData, check_lengths, mean_var_of
 _DEFAULT_GRID = 1201
 _ARGMAX_FLOOR = 1e-12
 _NEWTON_STEPS = 60
-_CHORD_STEPS = 2
 _RESIDUAL = 64.0 * np.finfo(float).eps  # per unit of divergence scale
 
 
@@ -188,8 +187,8 @@ def _ends(family, pa, pb, R, base, eta):
     that would not move (f' is -inf at the simplex edge for KL and
     alpha < 1) or leaves the bracket bisects instead.  Steps stop on the
     residual: once D - eta at a or b is within tol, a few roundings of the
-    divergence's scale.  Chord steps then move b to within about tol of the
-    root; b is the end kept, so every end is feasible as evaluated.
+    divergence's scale.  A chord step then moves b to within about tol of
+    the root; b is the end kept, so every end is feasible as evaluated.
     """
     R = np.asarray(R, dtype=float)
     base = np.broadcast_to(base, R.shape)
@@ -221,11 +220,10 @@ def _ends(family, pa, pb, R, base, eta):
             step = x - gx / (_f_slope(family, x / pa) - _f_slope(family, (R2 - x) / pb))
             x = np.where((step - a) * (b - step) > 0.0, step, 0.5 * (a + b))
             busy &= (x != a) & (x != b)
-        for _ in range(_CHORD_STEPS):
-            # the chord aims at D - eta = -tol, which clears the rounding in D;
-            # b within tol of the root stays
-            x = a + np.minimum((ga + tol) / (ga - gb), 1.0) * (b - a)
-            a, ga, b, gb = _narrow(root, x, excess(x), a, ga, b, gb)
+        # the chord aims at D - eta = -tol, which clears the rounding in D (by
+        # convexity D lies below the chord); b within tol of the root stays
+        x = a + np.minimum((ga + tol) / (ga - gb), 1.0) * (b - a)
+        _, _, b, _ = _narrow(root, x, excess(x), a, ga, b, gb)
     end = np.where(root, b, edge)
     end = np.where(g_star <= 0.0, end, math.nan)
     return end[:R.size], end[R.size:]
