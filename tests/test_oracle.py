@@ -147,9 +147,9 @@ def test_slice_ends_are_feasible_as_evaluated(fam):
 
 
 def _dense_sup(data, p, family, eta, points=801 * 801):
-    """Brute-force reference: the objective's maximum over a dense grid of
-    the simplex (points grid points for 2 atoms, about points for 3),
-    masked to the ball."""
+    """Brute-force reference: the objective's maximum over `points` evenly
+    spaced weights for 2 atoms, or a square grid of about as many points on
+    the simplex for 3, masked to the ball."""
     if len(p) == 2:
         s = np.linspace(0.0, 1.0, points)
         cols = (s, 1.0 - s)
