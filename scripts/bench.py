@@ -6,15 +6,17 @@ put that revision's src/ on PYTHONPATH and give the run a label.  Each run
 writes its section into the JSON file under that label and keeps the
 sections of other labels, so two revisions land side by side in one file.
 
-    PYTHONPATH=<old>/src python scripts/bench.py --label parent --out BENCH_8.json
-    PYTHONPATH=src python scripts/bench.py --label change --out BENCH_8.json
+    PYTHONPATH=<old>/src python scripts/bench.py --label parent --out BENCH_10.json
+    PYTHONPATH=src python scripts/bench.py --label change --out BENCH_10.json
 
 Recorded per label:
 
 - robust: for each robust_minimize instance (acceptance criterion 11, the
   demo's four etas, four 8-asset KL boxes) the inner solves per call,
-  counted by wrapping drovar.robust.variance_bound, the median wall time in
-  ms over the repeats, and the value reached;
+  counted by wrapping ScenarioMatrix.problem_for, which every revision calls
+  once per inner solve; the root steps per call, outer plus inner, summed
+  over the drovar.solver.Budget objects the call makes (one per inner
+  solve); the median wall time in ms over the repeats, and the value reached;
 - solve: the median wall time in ms of one variance_bound at n = 10, 10^3
   and 10^5 atoms for kl, alpha:2, alpha:0.5, alpha:0.1 and alpha:8;
 - sweep: acceptance criterion 1's 900 instances (rng 90210), solved and
@@ -49,6 +51,7 @@ from pathlib import Path
 import numpy as np
 
 import drovar.robust as robust
+import drovar.solver as solver
 from drovar import (
     Box,
     EmpiricalMeasure,
@@ -105,24 +108,33 @@ def median_ms(fn, repeats: int) -> float:
 
 
 def bench_robust(repeats: int) -> dict:
-    inner = robust.variance_bound
+    problem_for = ScenarioMatrix.problem_for
+    budget = solver.Budget
     calls = [0]
+    budgets = []
 
-    def counted(*args, **kwargs):
+    def counted(self, x):
         calls[0] += 1
-        return inner(*args, **kwargs)
+        return problem_for(self, x)
+
+    class Counted(budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
 
     out = {}
     for name, scen, box, eta in robust_instances():
-        robust.variance_bound = counted
+        ScenarioMatrix.problem_for, solver.Budget = counted, Counted
         try:
             calls[0] = 0
+            budgets.clear()
             _, value = robust.robust_minimize(scen, box, KL, eta)
-            solves = calls[0]
+            solves, steps = calls[0], sum(b.used for b in budgets)
         finally:
-            robust.variance_bound = inner
+            ScenarioMatrix.problem_for, solver.Budget = problem_for, budget
         ms = median_ms(lambda: robust.robust_minimize(scen, box, KL, eta), repeats)
-        out[name] = {"inner_solves": solves, "median_ms": round(ms, 3), "value": value}
+        out[name] = {"inner_solves": solves, "root_steps": steps,
+                     "median_ms": round(ms, 3), "value": value}
     return out
 
 
@@ -217,7 +229,8 @@ def main() -> None:
     doc[args.label] = section
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for name, rec in section["robust"].items():
-        print(f"{name:18s} {rec['inner_solves']:4d} solves {rec['median_ms']:9.2f} ms")
+        print(f"{name:18s} {rec['inner_solves']:4d} solves {rec['root_steps']:5d} steps "
+              f"{rec['median_ms']:9.2f} ms")
     for name, ms in section["solve_ms"].items():
         print(f"{name:18s} {ms:9.2f} ms")
     sweep = section["sweep"]

@@ -6,6 +6,9 @@ worst case penalizes low means) and phi = <x, r> (the return whose variance
 is penalized).  The objective is convex in x, and the outer minimizer is a
 deterministic spectral projected gradient method (Birgin, Martinez & Raydan
 2000) on its Danskin gradient, which the inner solve's worst-case weights give.
+The search's inner solves are warm-started from the previous one and build
+no certificate; one cold, certified solve at the returned decision gives the
+value it reports.
 """
 
 from __future__ import annotations
@@ -14,10 +17,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergences import FDivergenceFamily
+from .divergences import FDivergenceFamily, check_eta
 from .errors import ValidationError
 from .measures import EmpiricalMeasure, ProblemData
-from .solver import BoundResult, SolverConfig, variance_bound
+from .solver import BoundResult, SolverConfig, _solve, _worst_mean_kernel, variance_bound
 
 _MAX_SOLVES = 500
 _STEP_TOL = 1e-9
@@ -160,25 +163,43 @@ def robust_minimize(
     points, so they stay feasible.  The search is monotone because F has a
     kink at x = 0, where every atom ties.
 
+    Each inner solve but the first is warm-started from the previous one:
+    the outer root from nu = 2*E_Q[<x,r>] under the previous worst case Q,
+    the stationarity point of the dual in nu, and the worst-case mean from
+    the previous root coordinate.  These solves build no certificate.
+
     Deterministic: fixed start (box center or simplex barycenter); stops when
     the projected step or the line-search step falls to 1e-9 in sup-norm, or
-    after 500 inner solves.  Returns (x, worst-case value at x).
+    after 500 warm inner solves.  One more, cold and certified, at the
+    returned x gives the value, so it equals robust_objective(x) exactly.
+    Returns (x, worst-case value at x).
     """
-    dim = scenarios.dim
-    project = _projector(constraint, dim)
-    rows = scenarios.rows
-    solves = 0
+    cfg = config or SolverConfig()
+    check_eta(eta, family)
+    worst_mean = _worst_mean_kernel(family, "auto")
+    project = _projector(constraint, scenarios.dim)
+    rows, p = scenarios.rows, scenarios.weights
+    last = None  # the previous inner solve's worst case and root coordinate
 
     def evaluate(x):
-        nonlocal solves
-        solves += 1
-        res = robust_bound(x, scenarios, family, eta, config)
-        q = res.tilt.weights / res.tilt.weights.sum()
-        xr = rows @ x
-        return res.value, -(q @ rows) + 2.0 * ((q * (xr - q @ xr)) @ rows)
+        nonlocal last
+        data = scenarios.problem_for(x)
+        xr = data.phi
+        start = None if last is None else (2.0 * float(last[0] @ xr), last[1])
+        value, _, _, inner, _, _ = _solve(data, p, family, eta, cfg, worst_mean, start)
+        q = inner.q
+        last = q, inner.start
+        return value, -(q @ rows) + 2.0 * ((q * (xr - q @ xr)) @ rows)
 
-    x = project(_start_point(constraint, dim))
+    x = _spg(project(_start_point(constraint, scenarios.dim)), evaluate, project)
+    return x, robust_objective(x, scenarios, family, eta, config)
+
+
+def _spg(x, evaluate, project) -> np.ndarray:
+    """The search loop of robust_minimize from the feasible x; evaluate(x)
+    returns (F(x), gradient), project maps onto the constraint set."""
     f, g = evaluate(x)
+    solves = 1
     # first step: the projected gradient scaled to unit sup-norm
     first = float(np.max(np.abs(project(x - g) - x)))
     lam = min(max(1.0 / first, _LAM_MIN), _LAM_MAX) if first > 0.0 else 1.0
@@ -194,15 +215,16 @@ def robust_minimize(
         trial = p
         while True:
             f_t, g_t = evaluate(trial)
+            solves += 1
             if f_t <= f + _ARMIJO * a * slope:
                 break
             a_star = -slope * a * a / (2.0 * (f_t - f - a * slope))
             a = min(max(a_star, 0.1 * a), 0.5 * a)
             if a * dnorm <= _STEP_TOL or solves >= _MAX_SOLVES:
-                return x, f
+                return x
             trial = x + a * d
         s, y = trial - x, g_t - g
         sy = float(s @ y)
         lam = min(max(float(s @ s) / sy, _LAM_MIN), _LAM_MAX) if sy > 0.0 else _LAM_MAX
         x, f, g = trial, f_t, g_t
-    return x, f
+    return x

@@ -15,7 +15,9 @@ for the family (KL or alpha), warm-started from the previous outer iterate of
 the same solve.  Every evaluated F is a certified dual value; the tilt and its
 certificate are that kernel's own worst-case weights at the final nu.  Every
 root runs _root, which returns (x, state, at): where it stopped, why, and the
-evaluation there.
+evaluation there.  _solve is that outer root on its own, with an optional
+start for nu and the first inner root, and no certificate; variance_bound
+validates, runs it cold and certifies the result.
 
 parameterization="generic" keeps the outer loop and swaps the inner step:
 it minimizes lam*eta + beta + lam*E_P[f*((u - beta)/lam)] by two nested
@@ -393,6 +395,59 @@ def _dual_point(nu, u, inner, data, p, family) -> DualPoint:
     return DualPoint(lam, beta, nu)
 
 
+def _solve(data, p, family, eta, cfg, worst_mean, start=None):
+    """The outer root in nu on validated inputs, with no certificate.
+
+    start = (nu0, z0) seeds the outer root at nu0 (clipped to the bracket) and
+    the kernel's first inner root at z0; None starts from 2*E_P[phi] and the
+    kernel's own guess.  Returns (value, nu, u, inner, state, steps): the dual
+    value, nu, the payoff and the worst-case-mean solve behind it, the outer
+    root's state and the root steps taken, outer plus inner.
+    """
+    phi, w = data.phi, p.weights
+    budget = Budget(cfg.max_iters)
+    inner_tol = _INNER_TOL_RATIO * cfg.grad_tol
+    lo, hi = 2.0 * float(phi.min()), 2.0 * float(phi.max())
+    scale = (hi - lo) / 2.0
+    nu0, z = (2.0 * float(np.dot(w, phi)), None) if start is None else start
+    best = None
+
+    def outer(nu):
+        nonlocal z, best
+        u = _payoff(data, nu)
+        m = worst_mean(u, w, family, eta, inner_tol, budget, z)
+        z = m.start
+        at = (nu * nu / 4.0 + m.value, nu, u, m)
+        if best is None or at[0] < best[0]:
+            best = at
+        g = nu / 2.0 - float(np.dot(m.q, phi))
+        if m.boundary:
+            return g, 0.5, at
+        if m.curv is None:
+            return g, None, at
+        weights, factor = m.curv
+        return g, 0.5 + factor * _curvature(weights, u, phi), at
+
+    if lo == hi:
+        # phi is constant, so Var_Q[phi] = 0 and G vanishes at nu = 2*phi
+        state, last = ROOT, outer(lo)[2]
+    else:
+        nu0 = min(max(nu0, lo), hi)
+        _, state, last = _root(outer, nu0, lo, hi, cfg.grad_tol * scale, scale, budget)
+    # at a root the last point meets the criterion; otherwise keep the lowest
+    # certified value evaluated
+    value, nu, u, inner = last if state == ROOT else best
+    return value, nu, u, inner, state, budget.used
+
+
+def _status(state: str, inner: WorstMean) -> str:
+    if state == SPENT:
+        return MAX_ITERS
+    if state == ROOT and not inner.boundary:
+        return CONVERGED
+    return BOUNDARY_LAMBDA
+
+
 def variance_bound(
     data: ProblemData,
     p: EmpiricalMeasure,
@@ -411,52 +466,17 @@ def variance_bound(
     check_lengths(data, p)
     check_eta(eta, family)
     worst_mean = _worst_mean_kernel(family, parameterization)
-    phi, w = data.phi, p.weights
-    budget = Budget(cfg.max_iters)
-    inner_tol = _INNER_TOL_RATIO * cfg.grad_tol
-    lo, hi = 2.0 * float(phi.min()), 2.0 * float(phi.max())
-    scale = (hi - lo) / 2.0
-    start = best = None
-
-    def outer(nu):
-        nonlocal start, best
-        u = _payoff(data, nu)
-        m = worst_mean(u, w, family, eta, inner_tol, budget, start)
-        start = m.start
-        at = (nu * nu / 4.0 + m.value, nu, u, m)
-        if best is None or at[0] < best[0]:
-            best = at
-        g = nu / 2.0 - float(np.dot(m.q, phi))
-        if m.boundary:
-            return g, 0.5, at
-        if m.curv is None:
-            return g, None, at
-        weights, factor = m.curv
-        return g, 0.5 + factor * _curvature(weights, u, phi), at
-
-    if lo == hi:
-        # phi is constant, so Var_Q[phi] = 0 and G vanishes at nu = 2*phi
-        state, last = ROOT, outer(lo)[2]
-    else:
-        nu0 = min(max(2.0 * float(np.dot(w, phi)), lo), hi)
-        _, state, last = _root(outer, nu0, lo, hi, cfg.grad_tol * scale, scale, budget)
-    # at a root the last point meets the criterion; otherwise keep the lowest
-    # certified value evaluated
-    value, nu, u, inner = last if state == ROOT else best
-    if state == SPENT:
-        status = MAX_ITERS
-    elif state == ROOT and not inner.boundary:
-        status = CONVERGED
-    else:
-        status = BOUNDARY_LAMBDA
+    value, nu, u, inner, state, steps = _solve(data, p, family, eta, cfg, worst_mean)
+    status = _status(state, inner)
     weights = inner.q * inner.mass
     return BoundResult(
         value=value,
         dual_point=_dual_point(nu, u, inner, data, p, family),
         tilt=TiltResult(weights),
-        diagnostics=_certificate(weights, p, phi, nu, family, status == BOUNDARY_LAMBDA),
+        diagnostics=_certificate(weights, p, data.phi, nu, family,
+                                 status == BOUNDARY_LAMBDA),
         status=status,
-        iterations=budget.used,
+        iterations=steps,
     )
 
 

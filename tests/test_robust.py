@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from drovar.divergences import kl_family
+from drovar.divergences import alpha_family, kl_family
 from drovar.errors import ValidationError
 from drovar.measures import EmpiricalMeasure, mean_var_of, uniform_measure
 from drovar.oracle import primal_sup_grid
@@ -151,6 +151,25 @@ def test_minimize_beyond_eight_assets():
     assert val == robust_objective(x_star, s, KL, 0.1)
     assert val <= robust_objective(np.full(d, 0.5), s, KL, 0.1)
     again = robust_minimize(s, box, KL, 0.1)
+    assert again[1] == val
+    np.testing.assert_array_equal(again[0], x_star)
+
+
+@pytest.mark.parametrize("fam", [alpha_family(2.0), alpha_family(0.5)],
+                         ids=["alpha:2", "alpha:0.5"])
+@pytest.mark.parametrize("simplex", [False, True], ids=["box", "simplex"])
+@pytest.mark.parametrize("d", [2, 4])
+def test_minimize_beyond_kl(fam, simplex, d):
+    s = _drifting_returns(np.random.default_rng([7, d]), 25, d)
+    constraint = Simplex() if simplex else Box(lo=np.zeros(d), hi=np.ones(d))
+    x_star, val = robust_minimize(s, constraint, fam, 0.1)
+    assert np.all(x_star >= 0.0) and np.all(x_star <= 1.0)
+    if simplex:
+        assert np.sum(x_star) == pytest.approx(1.0, abs=1e-9)
+    assert val == robust_objective(x_star, s, fam, 0.1)
+    start = np.full(d, 1.0 / d if simplex else 0.5)
+    assert val <= robust_objective(start, s, fam, 0.1)
+    again = robust_minimize(s, constraint, fam, 0.1)
     assert again[1] == val
     np.testing.assert_array_equal(again[0], x_star)
 

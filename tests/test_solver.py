@@ -30,6 +30,9 @@ from drovar.solver import (
     Budget,
     SolverConfig,
     _root,
+    _solve,
+    _status,
+    _worst_mean_kernel,
     mean_bound,
     variance_bound,
 )
@@ -275,6 +278,59 @@ def test_root_stops_when_the_budget_is_spent():
     assert abs(g(x)) > 1e-12
     assert budget.used == budget.limit == 3
     _check_at(x, at, g, xs, budget)
+
+
+# ---------------------------------------------------------------------------
+# warm starts: the robust layer seeds _solve from the previous decision's solve
+
+
+def _warm_instance(n, kind, seed):
+    """A random instance; "ties" rounds rho and phi to a 0.1 grid, "tiny"
+    gives one atom the weight 1e-100."""
+    rng = np.random.default_rng(seed)
+    data, p = random_instance(rng, n)
+    w = p.weights.copy()
+    if kind == "ties":
+        data = ProblemData(rho=np.round(data.rho, 1), phi=np.round(data.phi, 1))
+    elif kind == "tiny":
+        w[rng.integers(n)] = 1e-100
+    return data, EmpiricalMeasure(w / w.sum())
+
+
+# alpha:2 with a 1e-100 weight: on these instances the inner roots stall where
+# rho = 1 - a*exp(-z) cancels (ROADMAP item 2), and where a stalled root ends
+# depends on its start.  alpha:8 is left out for the same reason: its inner
+# roots stall near the bottom atom (CHANGES.md FOUND, ROADMAP item 2).
+_STALLED = pytest.mark.xfail(strict=True, reason="alpha:2 inner roots stall at a 1e-100 weight")
+
+
+@pytest.mark.parametrize("fam", [KL, A_TENTH, A_HALF, alpha_family(1.05), A2],
+                         ids=["kl", "alpha:0.1", "alpha:0.5", "alpha:1.05", "alpha:2"])
+@pytest.mark.parametrize("n", [2, 3, 10, 50])
+@pytest.mark.parametrize("kind", ["plain", "ties", "tiny"])
+def test_warm_start_matches_the_cold_solve(fam, n, kind, request):
+    if fam is A2 and kind == "tiny" and n == 2:
+        request.applymarker(_STALLED)
+    seed = [n, ["plain", "ties", "tiny"].index(kind)]
+    data, p = _warm_instance(n, kind, seed)
+    eta = {2: 0.05, 3: 0.2, 10: 0.5, 50: 1.0}[n]
+    cfg = SolverConfig()
+    kernel = _worst_mean_kernel(fam, "auto")
+    cold = variance_bound(data, p, fam, eta)
+    value, nu, _, inner, _, _ = _solve(data, p, fam, eta, cfg, kernel)
+    assert value == cold.value
+    # a neighbour: the same atoms with rho and phi moved by about 1e-3
+    rng = np.random.default_rng([*seed, 1])
+    near = ProblemData(rho=data.rho + 1e-3 * rng.standard_normal(n),
+                       phi=data.phi + 1e-3 * rng.standard_normal(n))
+    near_run = _solve(near, p, fam, eta, cfg, kernel)
+    lo, hi = 2.0 * data.phi.min(), 2.0 * data.phi.max()
+    starts = [(nu, inner.start), (near_run[1], near_run[3].start),
+              (lo, inner.start), (hi, inner.start), (lo, None), (hi, None)]
+    for start in starts:
+        v, _, _, m, st, _ = _solve(data, p, fam, eta, cfg, kernel, start)
+        assert abs(v - cold.value) <= 1e-12 * (1.0 + abs(cold.value)), start
+        assert _status(st, m) == cold.status, start
 
 
 # ---------------------------------------------------------------------------
