@@ -6,8 +6,8 @@ put that revision's src/ on PYTHONPATH and give the run a label.  Each run
 writes its section into the JSON file under that label and keeps the
 sections of other labels, so two revisions land side by side in one file.
 
-    PYTHONPATH=<old>/src python scripts/bench.py --label parent --out BENCH_10.json
-    PYTHONPATH=src python scripts/bench.py --label change --out BENCH_10.json
+    PYTHONPATH=<old>/src python scripts/bench.py --label parent --out BENCH_11.json
+    PYTHONPATH=src python scripts/bench.py --label change --out BENCH_11.json
 
 Recorded per label:
 
@@ -19,6 +19,9 @@ Recorded per label:
   solve); the median wall time in ms over the repeats, and the value reached;
 - solve: the median wall time in ms of one variance_bound at n = 10, 10^3
   and 10^5 atoms for kl, alpha:2, alpha:0.5, alpha:0.1 and alpha:8;
+- certify: at n = 10^5, beside each of those solves, the median wall time
+  in ms of one optimality_diagnostics at the solve's dual point: the tilt
+  and the certificate's three exact sums;
 - sweep: acceptance criterion 1's 900 instances (rng 90210), solved and
   checked by the oracle as that test does, run once, with the dual-solve
   seconds per family and the oracle seconds per atom count kept apart, the
@@ -59,6 +62,7 @@ from drovar import (
     ProblemData,
     ScenarioMatrix,
     kl_family,
+    optimality_diagnostics,
     parse_family,
     primal_sup_grid,
     uniform_measure,
@@ -76,6 +80,7 @@ DEMO_RETURNS = np.array([
 DEMO_ETAS = (0.01, 0.05, 0.15, 0.4)
 SOLVE_FAMILIES = ("kl", "alpha:2", "alpha:0.5", "alpha:0.1", "alpha:8")
 SOLVE_SIZES = (10, 1_000, 100_000)
+CERTIFY_SIZE = 100_000
 SWEEP_FAMILIES = ("kl", "alpha:2", "alpha:0.5")
 
 
@@ -138,8 +143,8 @@ def bench_robust(repeats: int) -> dict:
     return out
 
 
-def bench_solves(repeats: int) -> dict:
-    out = {}
+def bench_solves(repeats: int) -> tuple[dict, dict]:
+    out, certify = {}, {}
     for n in SOLVE_SIZES:
         rng = np.random.default_rng([4, n])
         data = ProblemData(rho=rng.uniform(-1.0, 1.0, n), phi=rng.uniform(-1.0, 1.0, n))
@@ -147,10 +152,14 @@ def bench_solves(repeats: int) -> dict:
         p = EmpiricalMeasure(w / w.sum())
         for label in SOLVE_FAMILIES:
             fam = parse_family(label)
-            variance_bound(data, p, fam, 0.1)  # warm-up
+            res = variance_bound(data, p, fam, 0.1)  # warm-up
             ms = median_ms(lambda: variance_bound(data, p, fam, 0.1), repeats)
             out[f"{label}_n{n}"] = round(ms, 3)
-    return out
+            if n == CERTIFY_SIZE:
+                ms = median_ms(lambda: optimality_diagnostics(res.dual_point, data, p, fam, 0.1),
+                               repeats)
+                certify[f"{label}_n{n}"] = round(ms, 3)
+    return out, certify
 
 
 def bench_sweep() -> dict:
@@ -214,13 +223,15 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=5, help="timed runs per median")
     args = ap.parse_args()
 
+    solve_ms, certify_ms = bench_solves(args.repeats)
     section = {
         "host": {"python": platform.python_version(), "numpy": np.__version__,
                  "machine": platform.machine(), "cpus": os.cpu_count(),
                  "blas_threads": int(os.environ["OPENBLAS_NUM_THREADS"])},
         "repeats": args.repeats,
         "robust": bench_robust(args.repeats),
-        "solve_ms": bench_solves(args.repeats),
+        "solve_ms": solve_ms,
+        "certify_ms": certify_ms,
         "sweep": bench_sweep(),
         "cli": bench_cli(args.repeats),
     }
@@ -232,7 +243,8 @@ def main() -> None:
         print(f"{name:18s} {rec['inner_solves']:4d} solves {rec['root_steps']:5d} steps "
               f"{rec['median_ms']:9.2f} ms")
     for name, ms in section["solve_ms"].items():
-        print(f"{name:18s} {ms:9.2f} ms")
+        cert = section["certify_ms"].get(name)
+        print(f"{name:18s} {ms:9.2f} ms" + ("" if cert is None else f"  certify {cert:7.2f} ms"))
     sweep = section["sweep"]
     print(f"sweep dual {sweep['dual_s']} s, oracle {sweep['oracle_s']} s, "
           f"worst gap {sweep['worst_gap']:.2e}")

@@ -48,7 +48,7 @@ from .divergences import (
     kl_family,
 )
 from .errors import DerivativeUnavailable, ValidationError
-from .measures import EmpiricalMeasure, ProblemData, check_lengths
+from .measures import EmpiricalMeasure, ProblemData, _exact_sum, check_lengths
 
 # Stationarity-certificate tolerances used by the test suite.
 NORMALIZATION_TOL = 1e-6
@@ -337,12 +337,15 @@ def tilt(
 
 def _certificate(weights: np.ndarray, p: EmpiricalMeasure, phi: np.ndarray, nu: float,
                  family: FDivergenceFamily, boundary: bool) -> Diagnostics:
-    """The stationarity certificate of unnormalized worst-case weights."""
+    """The stationarity certificate of unnormalized worst-case weights.
+
+    Its three sums are exact (measures._exact_sum): each field is math.fsum
+    of its array, bit for bit, at numpy speed from 1,000 atoms up.
+    """
     return Diagnostics(
-        normalization=math.fsum(memoryview(weights)),
-        achieved_divergence=math.fsum(
-            memoryview(p.weights * f_eval(family, weights / p.weights))),
-        mean_condition_gap=math.fsum(memoryview(weights * phi)) - nu / 2.0,
+        normalization=_exact_sum(weights),
+        achieved_divergence=_exact_sum(p.weights * f_eval(family, weights / p.weights)),
+        mean_condition_gap=_exact_sum(weights * phi) - nu / 2.0,
         boundary_flag=bool(boundary),
     )
 

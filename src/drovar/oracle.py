@@ -30,7 +30,7 @@ import numpy as np
 
 from .divergences import KL, FDivergenceFamily, check_eta, f_eval
 from .errors import UnsupportedSizeError, ValidationError
-from .measures import EmpiricalMeasure, ProblemData, check_lengths, mean_var_of
+from .measures import EmpiricalMeasure, ProblemData, _exact_sum, check_lengths, mean_var_of
 
 _DEFAULT_GRID = 1201
 _ARGMAX_FLOOR = 1e-12
@@ -83,7 +83,7 @@ def _argmax_measure(q: np.ndarray) -> EmpiricalMeasure:
     # slice ends on the simplex edge carry zero atoms; nudge them inside so
     # the strictly-positive measure type can hold the argmax
     w = np.maximum(q, _ARGMAX_FLOOR)
-    return EmpiricalMeasure(w / math.fsum(memoryview(w)))
+    return EmpiricalMeasure(w / _exact_sum(w))
 
 
 def primal_sup_grid(

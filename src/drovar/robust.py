@@ -8,7 +8,7 @@ deterministic spectral projected gradient method (Birgin, Martinez & Raydan
 2000) on its Danskin gradient, which the inner solve's worst-case weights give.
 The search's inner solves are warm-started from the previous one and build
 no certificate; one cold, certified solve at the returned decision gives the
-value it reports.
+value it reports, or the search's own first, cold solve when it never moved.
 """
 
 from __future__ import annotations
@@ -171,7 +171,9 @@ def robust_minimize(
     Deterministic: fixed start (box center or simplex barycenter); stops when
     the projected step or the line-search step falls to 1e-9 in sup-norm, or
     after 500 warm inner solves.  One more, cold and certified, at the
-    returned x gives the value, so it equals robust_objective(x) exactly.
+    returned x gives the value, so it equals robust_objective(x) exactly;
+    when the search never leaves its start, the first evaluation was that
+    cold solve, and its value is returned without solving again.
     Returns (x, worst-case value at x).
     """
     cfg = config or SolverConfig()
@@ -191,13 +193,19 @@ def robust_minimize(
         last = q, inner.start
         return value, -(q @ rows) + 2.0 * ((q * (xr - q @ xr)) @ rows)
 
-    x = _spg(project(_start_point(constraint, scenarios.dim)), evaluate, project)
+    x0 = project(_start_point(constraint, scenarios.dim))
+    x, f = _spg(x0, evaluate, project)
+    if x is x0:
+        # the search never moved: its first evaluation was already the cold
+        # solve of this x, the same value robust_objective(x) gives
+        return x, f
     return x, robust_objective(x, scenarios, family, eta, config)
 
 
-def _spg(x, evaluate, project) -> np.ndarray:
+def _spg(x, evaluate, project) -> tuple[np.ndarray, float]:
     """The search loop of robust_minimize from the feasible x; evaluate(x)
-    returns (F(x), gradient), project maps onto the constraint set."""
+    returns (F(x), gradient), project maps onto the constraint set.  Returns
+    the last accepted point, the start object itself if none was, and its F."""
     f, g = evaluate(x)
     solves = 1
     # first step: the projected gradient scaled to unit sup-norm
@@ -221,10 +229,10 @@ def _spg(x, evaluate, project) -> np.ndarray:
             a_star = -slope * a * a / (2.0 * (f_t - f - a * slope))
             a = min(max(a_star, 0.1 * a), 0.5 * a)
             if a * dnorm <= _STEP_TOL or solves >= _MAX_SOLVES:
-                return x
+                return x, f
             trial = x + a * d
         s, y = trial - x, g_t - g
         sy = float(s @ y)
         lam = min(max(float(s @ s) / sy, _LAM_MIN), _LAM_MAX) if sy > 0.0 else _LAM_MAX
         x, f, g = trial, f_t, g_t
-    return x
+    return x, f

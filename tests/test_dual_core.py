@@ -392,12 +392,15 @@ def test_diagnostics_boundary_flag_passthrough():
     assert diag.boundary_flag is True
 
 
-@pytest.mark.parametrize("family", [KL, A2, A_HALF], ids=lambda f: f.label)
-def test_diagnostics_sums_match_list_sums(family):
-    # the certificate sums the tilt through buffers; the doubles and their
-    # order are those of the lists, so the result is bit-identical
+@pytest.mark.parametrize("family, n", [
+    pytest.param(f, n, id=f.label if n == 1000 else f"{f.label}-n{n}")
+    for n in (1000, 100_000) for f in (KL, A2, A_HALF)
+])
+def test_diagnostics_sums_match_list_sums(family, n):
+    # the certificate's exact sums equal math.fsum of the same doubles as a
+    # list, field by field, at the fast path's crossover and far past it
     rng = np.random.default_rng(17)
-    data, p = random_instance(rng, 1000)
+    data, p = random_instance(rng, n)
     dp = DualPoint(2.0, float(np.max(data.psi)) + 1.0, 0.3)
     diag = optimality_diagnostics(dp, data, p, family, 0.1)
     t = tilt(dp, data, p, family)

@@ -7,11 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from drovar.divergences import alpha_family, f_eval, kl_family
+from drovar.divergences import alpha_family, conj_eval, f_eval, kl_family
 from drovar.errors import ValidationError
 from drovar.measures import (
+    _FAST_SUM_MIN,
     EmpiricalMeasure,
     ProblemData,
+    _exact_sum,
     check_lengths,
     divergence_of,
     mean_var_of,
@@ -137,26 +139,134 @@ def _buffer_cases():
     frozen = rng.uniform(-1.0, 1.0, 101)
     frozen.flags.writeable = False
     extreme = np.array([1e308, -1e308, 1e-308, 5e-324, 1.0, -1e-300, 1e300, -1e300, 3.0])
-    return [strided, frozen, extreme, extreme[::-2]]
+    small = [strided, frozen, extreme, extreme[::-2]]
+    # the same doubles in strided and read-only views past the crossover of
+    # the fast exact sum, and a strided view of 10^5 atoms; entries beyond
+    # 1e290 are clamped to it, inside the fast path's range, since copies of
+    # +-1e308 would overflow fsum's partial sums
+    large = []
+    for values in small:
+        values = np.where(np.abs(values) > 1e290, np.sign(values) * 1e290, values)
+        tiled = np.tile(values, 3 * (_FAST_SUM_MIN // values.size + 1))
+        tiled.flags.writeable = False
+        large += [tiled[::3], tiled[::-2]]
+    return small + large + [rng.standard_normal(300_000)[::3]]
+
+
+def _fsum_list(x):
+    return math.fsum(x.tolist())
+
+
+def _sums_match_lists(values):
+    # every sum of the library equals math.fsum of the same doubles as a list,
+    # whatever the strides and flags of the array
+    assert math.fsum(memoryview(values)) == _fsum_list(values)
+    assert _exact_sum(values) == _fsum_list(values)
+    p = uniform_measure(values.size)
+    v = np.clip(values, -1e150, 1e150)
+    mean = _fsum_list(p.weights * v)
+    assert mean_var_of(p, v) == (mean, _fsum_list(p.weights * (v - mean) ** 2))
+    raw = np.exp(np.clip(values, -30.0, 30.0))
+    q, _ = normalize(raw)
+    kept = raw / _fsum_list(raw)
+    np.testing.assert_array_equal(q.weights, kept / _fsum_list(kept))
+    for fam in FAMILIES:
+        expected = _fsum_list(p.weights * f_eval(fam, q.weights / p.weights))
+        assert divergence_of(q, p, fam) == expected
+    g = np.clip(values, -0.5, 0.5)
+    assert variational_gap(g, q, p, FAMILIES[0]) == (
+        _fsum_list(q.weights * g) - _fsum_list(p.weights * conj_eval(FAMILIES[0], g)))
 
 
 @pytest.mark.parametrize("values", _buffer_cases())
 def test_compensated_sums_over_buffers_match_lists(values):
-    # the library sums through memoryview(a), which must give the same
-    # doubles as a.tolist() in the same order, whatever the strides and flags
-    fsum_list = lambda a: math.fsum(a.tolist())
-    assert math.fsum(memoryview(values)) == fsum_list(values)
-    p = uniform_measure(values.size)
-    v = np.clip(values, -1e150, 1e150)
-    mean = fsum_list(p.weights * v)
-    assert mean_var_of(p, v) == (mean, fsum_list(p.weights * (v - mean) ** 2))
-    raw = np.exp(np.clip(values, -30.0, 30.0))
-    q, _ = normalize(raw)
-    kept = raw / fsum_list(raw)
-    np.testing.assert_array_equal(q.weights, kept / fsum_list(kept))
-    for fam in FAMILIES:
-        expected = fsum_list(p.weights * f_eval(fam, q.weights / p.weights))
-        assert divergence_of(q, p, fam) == expected
+    _sums_match_lists(values)
+
+
+def _fsum_outcome(total, x):
+    """repr of the sum (so -0.0 and nan compare), or the error it raised."""
+    try:
+        return repr(total(x))
+    except (ValueError, OverflowError) as err:
+        return type(err), str(err)
+
+
+def _exact_sum_cases():
+    rng = np.random.default_rng(31)
+    cases = {}
+    for n in (_FAST_SUM_MIN - 1, _FAST_SUM_MIN, 4 * _FAST_SUM_MIN + 3):
+        m = (n + 1).bit_length()
+        edge = math.ldexp(1.0, 1000 - m)
+        half = n // 2
+        pairs = rng.standard_normal(half) * 1e10
+        cancel = np.concatenate([pairs, -pairs, rng.standard_normal(n - 2 * half)])
+        # exact ties: 1 + 2^-53 rounds down to even, (1 + 2^-52) + 2^-53 up
+        tie_down = np.concatenate([[1.0, 2.0**-53], pairs[: (n - 2) // 2],
+                                   -pairs[: (n - 2) // 2]])
+        tie_up = tie_down.copy()
+        tie_up[0] = 1.0 + 2.0**-52
+        subnormal = rng.integers(-1000, 1000, n) * 5e-324
+        subnormal[:3] = (1.0, -1.0, 2.0**-1022)
+        mixed = rng.standard_normal(n) * 2.0 ** rng.integers(-1074, 1000 - m, n)
+        at_edge = rng.uniform(-1.0, 1.0, n) * edge
+        at_edge[0] = edge
+        past_edge = at_edge.copy()
+        past_edge[0] = math.nextafter(edge, math.inf)
+        cases.update({
+            f"normal-{n}": rng.standard_normal(n),
+            f"cancelling-{n}": cancel,
+            f"tie-down-{n}": tie_down,
+            f"tie-up-{n}": tie_up,
+            f"subnormal-{n}": subnormal,
+            f"mixed-scale-{n}": mixed,
+            f"times-1e300-{n}": rng.standard_normal(n) * 1e300,
+            f"times-1e-300-{n}": rng.standard_normal(n) * 1e-300,
+            f"dirichlet-{n}": rng.dirichlet(np.ones(n)),
+            f"at-edge-{n}": at_edge,
+            f"past-edge-{n}": past_edge,
+            f"zeros-{n}": np.where(rng.random(n) < 0.5, -0.0, 0.0),
+            f"negative-zeros-{n}": np.full(n, -0.0),
+        })
+    return cases
+
+
+EXACT_SUM_CASES = _exact_sum_cases()
+
+
+@pytest.mark.parametrize("values", EXACT_SUM_CASES.values(), ids=EXACT_SUM_CASES.keys())
+def test_exact_sum_is_fsum(values):
+    rng = np.random.default_rng(values.size)
+    expected = _fsum_outcome(_fsum_list, values)
+    for x in (values, values[::-1], rng.permutation(values)):
+        assert _fsum_outcome(_exact_sum, x) == expected
+
+
+@pytest.mark.parametrize("n", [_FAST_SUM_MIN - 1, 2 * _FAST_SUM_MIN])
+@pytest.mark.parametrize("bad", [[math.nan], [math.inf], [-math.inf], [math.inf, -math.inf],
+                                 [math.nan, math.inf], [1e308, 1e308]])
+def test_exact_sum_keeps_fsum_on_nonfinite_and_overflow(n, bad):
+    x = np.random.default_rng(n).standard_normal(n)
+    x[3: 3 + len(bad)] = bad
+    assert _fsum_outcome(_exact_sum, x) == _fsum_outcome(_fsum_list, x)
+
+
+def test_exact_sum_runs_numpy_passes_from_the_crossover(monkeypatch):
+    # from the crossover on, finite moderate data is summed in a few numpy
+    # passes and math.fsum only adds their handful of exact pass sums
+    fsum = math.fsum
+    args = []
+
+    def recording(a):
+        args.append(a)
+        return fsum(a)
+
+    monkeypatch.setattr(math, "fsum", recording)
+    x = np.random.default_rng(3).dirichlet(np.ones(100_000))
+    _exact_sum(x[:_FAST_SUM_MIN - 1])
+    assert isinstance(args.pop(), memoryview)
+    _exact_sum(x)
+    taus = args.pop()
+    assert isinstance(taus, list) and 1 <= len(taus) <= 4
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import drovar.robust as robust_mod
 from drovar.divergences import alpha_family, kl_family
 from drovar.errors import ValidationError
 from drovar.measures import EmpiricalMeasure, mean_var_of, uniform_measure
@@ -112,6 +113,38 @@ def test_minimize_in_a_degenerate_box_stays_put():
     x_star, val = robust_minimize(s, Box(lo=np.zeros(1), hi=np.zeros(1)), KL, 0.1)
     assert x_star[0] == 0.0
     assert val == robust_objective(np.zeros(1), s, KL, 0.1)
+
+
+@pytest.mark.parametrize("fam", [KL, alpha_family(2.0), alpha_family(0.5)],
+                         ids=["kl", "alpha:2", "alpha:0.5"])
+@pytest.mark.parametrize("d, constraint, moves", [
+    (2, Box(lo=np.full(2, 0.3), hi=np.full(2, 0.3)), False),  # the start is the only point
+    (1, Simplex(), False),  # so is the barycenter of a 1-asset simplex
+    (2, Box(lo=np.zeros(2), hi=np.ones(2)), True),
+], ids=["point-box", "one-asset-simplex", "box"])
+def test_minimize_reuses_the_first_solve_when_the_search_stays_put(
+        monkeypatch, fam, d, constraint, moves):
+    s = _drifting_returns(np.random.default_rng([11, d]), 25, d)
+    calls = {"search": 0, "certified": 0}
+    solve, bound = robust_mod._solve, robust_mod.variance_bound
+
+    def counted_solve(*args):
+        calls["search"] += 1
+        return solve(*args)
+
+    def counted_bound(*args, **kwargs):
+        calls["certified"] += 1
+        return bound(*args, **kwargs)
+
+    monkeypatch.setattr(robust_mod, "_solve", counted_solve)
+    monkeypatch.setattr(robust_mod, "variance_bound", counted_bound)
+    x_star, val = robust_minimize(s, constraint, fam, 0.1)
+    assert (calls["search"] > 1) == moves
+    # the final cold solve runs only when the search left its start, whose
+    # first evaluation was already cold
+    assert calls["certified"] == int(moves)
+    monkeypatch.undo()
+    assert val == robust_objective(x_star, s, fam, 0.1)
 
 
 def test_minimize_over_the_simplex():

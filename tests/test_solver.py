@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from drovar.measures import (
     normalize,
     uniform_measure,
 )
+from drovar.oracle import primal_sup_grid
 from drovar.solver import (
     BOUNDARY_LAMBDA,
     CONVERGED,
@@ -197,6 +199,22 @@ def test_boundary_tilts_lie_in_the_ball(fam):
         assert abs(res.tilt.weights.sum() - 1.0) <= 1e-9
         assert res.diagnostics.achieved_divergence <= eta * (1.0 + 1e-9)
     assert boundary >= 10
+
+
+def test_kink_of_the_outer_function_stalls_without_a_warning():
+    # three KL atoms whose outer root in nu stalls on a jump of G (a kink of F
+    # where atoms of u tie), after inner roots up to z = 35; no floating-point
+    # warning reaches the caller on the way, and the bound stays tight
+    data = ProblemData(
+        rho=np.array([-0.5991439189707217, -0.9247822406215847, -0.8483314950873941]),
+        phi=np.array([-0.07051637607476824, 0.9314319673195903, -0.10787587518910291]))
+    p = EmpiricalMeasure(np.array([0.6115158708892964, 0.23890028649223635,
+                                   0.14958384261846733]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = variance_bound(data, p, KL, 0.2)
+    assert res.status == BOUNDARY_LAMBDA
+    assert abs(res.value - primal_sup_grid(data, p, KL, 0.2)[0]) <= 1e-12
 
 
 # ---------------------------------------------------------------------------
