@@ -28,7 +28,7 @@ import sys
 
 import numpy as np
 
-from .divergences import parse_family
+from .divergences import check_eta, parse_family
 from .errors import UnsupportedSizeError, ValidationError
 from .measures import EmpiricalMeasure, ProblemData, normalize, uniform_measure
 from .oracle import OracleConfig, primal_sup_grid
@@ -177,12 +177,11 @@ def ingest_bound_csv(path: str) -> tuple[ProblemData, EmpiricalMeasure]:
 def ingest_scenario_csv(path: str) -> ScenarioMatrix:
     """Read r1..rd and optional weight into a scenario matrix."""
     names, rows = _read_rows(path)
-    indices = [int(name[1:]) for name in names
-               if len(name) > 1 and name[0] == "r" and name[1:].isdigit()]
-    if not indices:
+    dim = max((int(name[1:]) for name in names
+               if len(name) > 1 and name[0] == "r" and name[1:].isdigit()), default=0)
+    if dim < 1:
         raise ValidationError("missing required columns r1..rd")
-    matrix = np.column_stack(
-        [_column(rows, names, f"r{k}") for k in range(1, max(indices) + 1)])
+    matrix = np.column_stack([_column(rows, names, f"r{k}") for k in range(1, dim + 1)])
     p, keep = _weights_for(rows, names)
     return ScenarioMatrix(rows=matrix[keep], weights=p)
 
@@ -221,6 +220,10 @@ def _cmd_sweep(args) -> int:
     data, p = ingest_bound_csv(args.input)
     family = parse_family(args.divergence)
     cfg = _solver_config(args)
+    # both ends are checked before the curve file is opened and before any
+    # solve, so a bad radius leaves an existing curve file intact
+    check_eta(args.eta_min, family)
+    check_eta(args.eta_max, family)
     etas = np.linspace(args.eta_min, args.eta_max, args.steps)
     try:  # opened before the solves, so a bad path fails before any work
         curve = open(args.curve_out, "w", newline="") if args.curve_out else None
@@ -315,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     oc = sub.add_parser("oracle-check", help="compare against the primal slice oracle")
     common(oc)
-    oc.add_argument("--grid", type=int, default=None,
-                    help="oracle t-grid points for 3 atoms (default 1201, at least 101); "
+    oc.add_argument("--grid", type=int, default=OracleConfig.grid_per_dim,
+                    help="oracle t-grid points for 3 atoms (default %(default)s, at least 101); "
                     "2 atoms are one exact slice")
     oc.set_defaults(handler=_cmd_oracle_check)
 

@@ -167,47 +167,11 @@ def kl_reduced_objective(
     return nu * nu / 4.0 + eta * lam + lam * _kl_log_mean(u / lam, p.weights)
 
 
-def kl_reduced_gradient(
-    lam: float, nu: float, data: ProblemData, p: EmpiricalMeasure, eta: float
-) -> tuple[float, float]:
-    """(d/dlam, d/dnu) of kl_reduced_objective."""
-    args = _payoff(data, nu) / lam
-    L = _kl_log_mean(args, p.weights)
-    # softmax weights of args under p
-    omega = np.exp(np.log(p.weights) + args - L)
-    d_lam = eta + L - float(np.dot(omega, args))
-    d_nu = nu / 2.0 - float(np.dot(omega, data.phi))
-    return d_lam, d_nu
-
-
 def kl_optimal_beta(
     lam: float, nu: float, data: ProblemData, p: EmpiricalMeasure
 ) -> float:
     """The closed-form beta minimizing the KL dual at fixed (lam, nu)."""
     return lam * (_kl_log_mean(_payoff(data, nu) / lam, p.weights) - 1.0)
-
-
-def _alpha_C(gaps: np.ndarray, w: np.ndarray, alpha: float) -> float:
-    """C = E_P[gaps^(-alpha/(1-alpha))] / (alpha*(1-alpha)^(alpha/(1-alpha)))."""
-    r = alpha / (1.0 - alpha)
-    with np.errstate(over="ignore"):
-        K = float(np.dot(w, gaps ** (-r)))
-    return K / (alpha * (1.0 - alpha) ** r)
-
-
-def _alpha_lambda(gaps, w, alpha, slack) -> float:
-    """Kernel of alpha_inner_lambda, at gaps that are all positive."""
-    C = _alpha_C(gaps, w, alpha)
-    return ((1.0 - alpha) * slack / C) ** ((1.0 - alpha) / alpha)
-
-
-def _check_alpha01(alpha: float, eta: float) -> float:
-    """Validate alpha in (0,1) and eta; return the slack cap - eta."""
-    if not (0.0 < alpha < 1.0):
-        raise ValidationError(f"this reduction needs alpha in (0,1), got {alpha!r}")
-    family = alpha_family(alpha)
-    check_eta(eta, family)
-    return family.divergence_cap - eta
 
 
 def alpha_reduced_objective(
@@ -216,12 +180,18 @@ def alpha_reduced_objective(
 ) -> float:
     """alpha in (0,1) dual with lam eliminated; +inf unless every conjugate
     argument is strictly negative (the finite-C branch)."""
-    slack = _check_alpha01(alpha, eta)
+    if not (0.0 < alpha < 1.0):
+        raise ValidationError(f"this reduction needs alpha in (0,1), got {alpha!r}")
+    family = alpha_family(alpha)
+    check_eta(eta, family)
+    slack = family.divergence_cap - eta
     check_lengths(data, p)
     gaps = beta - _payoff(data, nu)
     if (gaps <= 0.0).any():
         return math.inf
-    C = _alpha_C(gaps, p.weights, alpha)
+    r = alpha / (1.0 - alpha)
+    with np.errstate(over="ignore"):
+        C = float(np.dot(p.weights, gaps ** (-r))) / (alpha * (1.0 - alpha) ** r)
     # C = +inf degrades gracefully: the correction term vanishes,
     # matching the lam -> 0 limit of the dual.
     return (
@@ -229,44 +199,6 @@ def alpha_reduced_objective(
         + beta
         - alpha * ((1.0 - alpha) / C) ** ((1.0 - alpha) / alpha) * slack ** (1.0 / alpha)
     )
-
-
-def alpha_inner_lambda(
-    beta: float, nu: float, data: ProblemData, p: EmpiricalMeasure,
-    alpha: float, eta: float,
-) -> float:
-    """The lam recovering the full dual point from the alpha-reduced one."""
-    slack = _check_alpha01(alpha, eta)
-    gaps = beta - _payoff(data, nu)
-    if np.any(gaps <= 0.0):
-        raise ValidationError("point is outside the reduced feasible region")
-    return _alpha_lambda(gaps, p.weights, alpha, slack)
-
-
-def alpha_reduced_gradient(
-    beta: float, nu: float, data: ProblemData, p: EmpiricalMeasure,
-    alpha: float, eta: float,
-) -> tuple[float, float]:
-    """(d/dbeta, d/dnu) of alpha_reduced_objective, via the envelope identity.
-
-    At the inner-optimal lam the reduced gradient equals the (beta, nu) block
-    of the full dual gradient.
-    """
-    slack = _check_alpha01(alpha, eta)
-    gaps = beta - _payoff(data, nu)
-    if (gaps <= 0.0).any():
-        raise DerivativeUnavailable(
-            "reduced objective is +inf here; use the derivative-free path"
-        )
-    lam = _alpha_lambda(gaps, p.weights, alpha, slack)
-    if lam <= 0.0:
-        raise DerivativeUnavailable(
-            "inner lam underflowed to zero; use the derivative-free path"
-        )
-    dens = conj_deriv(alpha_family(alpha), -gaps / lam)
-    d_beta = 1.0 - float(np.dot(p.weights, dens))
-    d_nu = nu / 2.0 - float(np.dot(p.weights, dens * data.phi))
-    return d_beta, d_nu
 
 
 def _moments(args: np.ndarray, phi: np.ndarray, p: EmpiricalMeasure,
@@ -324,7 +256,16 @@ def tilt(
     p: EmpiricalMeasure,
     family: FDivergenceFamily,
 ) -> TiltResult:
-    """Worst-case weights p_i * (f*)'(Psi_i) at the dual point (unnormalized)."""
+    """Worst-case weights p_i * (f*)'(Psi_i) at the dual point (unnormalized).
+
+    These are rebuilt from dp in absolute units, not taken from a solve, so at
+    a solver's dual_point they can differ from its BoundResult.tilt, which is
+    the kernel's own tilt.  An atom of tiny weight carries a large tilt only
+    through a tiny gap between beta and its payoff, which rounding in absolute
+    units can lose: alpha:0.5, eta 0.2, rho (5, 0, 0.1), phi (1, 0, 0.2) and
+    weights (1e-300, 0.5, 0.5) solve Converged with a normalization of
+    1 - 3.8e-15, yet these weights sum to 0.903 there.
+    """
     check_lengths(data, p)
     args = (_payoff(data, dp.nu) - dp.beta) / dp.lam
     dens = conj_deriv(family, args)
@@ -358,6 +299,10 @@ def optimality_diagnostics(
     eta: float,
     boundary: bool = False,
 ) -> Diagnostics:
-    """Evaluate the stationarity certificate at dp (see Diagnostics)."""
+    """Evaluate the stationarity certificate at dp (see Diagnostics).
+
+    It certifies tilt(dp, ...), so at a solver's dual_point it can disagree
+    with that solve's BoundResult.diagnostics (see tilt).
+    """
     return _certificate(tilt(dp, data, p, family).weights, p, data.phi, dp.nu,
                         family, boundary)

@@ -32,7 +32,6 @@ from .divergences import KL, FDivergenceFamily, check_eta, f_eval
 from .errors import UnsupportedSizeError, ValidationError
 from .measures import EmpiricalMeasure, ProblemData, _exact_sum, check_lengths, mean_var_of
 
-_DEFAULT_GRID = 1201
 _ARGMAX_FLOOR = 1e-12
 _NEWTON_STEPS = 60
 _RESIDUAL = 64.0 * np.finfo(float).eps  # per unit of divergence scale
@@ -40,16 +39,16 @@ _RESIDUAL = 64.0 * np.finfo(float).eps  # per unit of divergence scale
 
 @dataclass(frozen=True)
 class OracleConfig:
-    """grid_per_dim counts the t-grid points of a 3-atom problem (default
-    1201); refine_rounds counts the rounds after the first that regrid the
+    """grid_per_dim counts the t-grid points of a 3-atom problem;
+    refine_rounds counts the rounds after the first that regrid the
     two spacings around the best t.  A 2-atom problem is one exact slice and
     uses neither."""
 
-    grid_per_dim: int | None = None
+    grid_per_dim: int = 1201
     refine_rounds: int = 3
 
     def __post_init__(self):
-        if self.grid_per_dim is not None and self.grid_per_dim < 101:
+        if self.grid_per_dim < 101:
             raise ValidationError(
                 f"grid_per_dim must be at least 101, got {self.grid_per_dim!r}"
             )
@@ -111,8 +110,7 @@ def primal_sup_grid(
         (value,), (s,) = _slice_max(data, w, family, eta, ())
         value, q = float(value), np.array([s, 1.0 - s])
     else:
-        value, q = _sup_slices(data, w, family, eta,
-                               cfg.grid_per_dim or _DEFAULT_GRID, cfg.refine_rounds)
+        value, q = _sup_slices(data, w, family, eta, cfg.grid_per_dim, cfg.refine_rounds)
     if value == -math.inf:
         raise ValidationError("no feasible point found")
     return value, _argmax_measure(q)

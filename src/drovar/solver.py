@@ -33,7 +33,7 @@ statuses:
                     nu, so M_f(u) = max u is the lam -> 0 limit of the dual;
                     or the outer bracket closed on a jump of G, a kink of F
                     where atoms of u tie
-    MaxIters        max_iters root steps, outer plus inner, ran out
+    MaxIters        _MAX_STEPS root steps, outer plus inner, ran out
 """
 
 from __future__ import annotations
@@ -57,12 +57,8 @@ from .dual_core import Diagnostics, DualPoint, TiltResult, _certificate, _payoff
 # perfbench/spans.py wraps these names in this module to time the dual-core
 # layer; the nested solve does not call them.
 from .dual_core import (  # noqa: F401
-    alpha_inner_lambda,
-    alpha_reduced_gradient,
     alpha_reduced_objective,
     dual_objective_variance,
-    gradient_variance,
-    kl_reduced_gradient,
     kl_reduced_objective,
     optimality_diagnostics,
     tilt,
@@ -70,9 +66,10 @@ from .dual_core import (  # noqa: F401
 from .errors import ValidationError
 from .measures import EmpiricalMeasure, ProblemData, check_lengths
 
-# Kept for perfbench/spans.py, which wraps this name as the old generic
-# path's gradient kernel; nothing calls it.
-_capped_gradient = gradient_variance
+# perfbench/spans.py also wraps these names, the gradient kernels of a removed
+# 3-d descent; nothing calls them.  They and the import block above go when the
+# spans stop naming them (ROADMAP item 3).
+kl_reduced_gradient = alpha_reduced_gradient = alpha_inner_lambda = _capped_gradient = None
 
 CONVERGED = "Converged"
 BOUNDARY_LAMBDA = "BoundaryLambda"
@@ -83,6 +80,8 @@ MAX_ITERS = "MaxIters"
 _INNER_TOL_RATIO = 1e-3
 # The lam reported on the boundary, where the dual infimum sits at lam -> 0.
 _LAMBDA_FLOOR = 1e-12
+# Root steps one solve may take, outer plus inner.
+_MAX_STEPS = 10000
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +347,10 @@ def _wall_beta(u: np.ndarray, w: np.ndarray, family: FDivergenceFamily, lam: flo
 @dataclass(frozen=True)
 class SolverConfig:
     grad_tol: float = 1e-9
-    max_iters: int = 10000
 
     def __post_init__(self):
         if not (0.0 < self.grad_tol < 1e-3):
             raise ValidationError(f"grad_tol must lie in (0, 1e-3), got {self.grad_tol!r}")
-        if self.max_iters < 1:
-            raise ValidationError("max_iters must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -405,7 +401,7 @@ def _solve(data, p, family, eta, cfg, worst_mean, start=None):
     root's state and the root steps taken, outer plus inner.
     """
     phi, w = data.phi, p.weights
-    budget = Budget(cfg.max_iters)
+    budget = Budget(_MAX_STEPS)
     inner_tol = _INNER_TOL_RATIO * cfg.grad_tol
     lo, hi = 2.0 * float(phi.min()), 2.0 * float(phi.max())
     scale = (hi - lo) / 2.0

@@ -195,13 +195,19 @@ def test_header_names_may_carry_spaces(tmp_path, plain, spaced, args):
 # documented failure exit codes
 
 
-def test_missing_column_names_the_column(tmp_path):
+@pytest.mark.parametrize(
+    "text, args, column",
+    [("rho\n1\n", ("bound-variance",), b"phi"),
+     # r0 is no return column, so there are none: exit 2, not a traceback
+     ("r0\n1\n", ("robust", "--box", "0", "1"), b"r1..rd")],
+    ids=["bound-variance", "robust"],
+)
+def test_missing_column_names_the_column(tmp_path, text, args, column):
     bad = tmp_path / "bad.csv"
-    bad.write_text("rho\n1\n")
-    out = run_cli("bound-variance", "--input", str(bad),
-                  "--divergence", "kl", "--eta", "0.1")
+    bad.write_text(text)
+    out = run_cli(*args, "--input", str(bad), "--divergence", "kl", "--eta", "0.1")
     assert out.returncode == 2
-    assert b"phi" in out.stderr
+    assert out.stderr.startswith(b"error:") and column in out.stderr
 
 
 def test_duplicate_column_is_rejected(tmp_path):
@@ -271,13 +277,24 @@ def test_bad_configuration_is_exit_two(bernoulli_csv, extra):
     assert out.stderr.startswith(b"error:")
 
 
-def test_sweep_grid_validation(bernoulli_csv):
+def test_sweep_grid_validation(bernoulli_csv, tmp_path):
     out = run_cli("sweep", "--input", bernoulli_csv, "--divergence", "kl",
                   "--eta-min", "0.3", "--eta-max", "0.1", "--steps", "5")
     assert out.returncode == 2
     out = run_cli("sweep", "--input", bernoulli_csv, "--divergence", "kl",
                   "--eta-min", "0.1", "--eta-max", "0.3", "--steps", "1")
     assert out.returncode == 2
+    # a radius out of range at either end fails before the curve file is
+    # opened and before any solve, so an existing curve survives intact
+    curve = tmp_path / "curve.csv"
+    for family, lo, hi in (("kl", "0", "0.3"), ("alpha:0.5", "1", "5")):
+        curve.write_bytes(b"eta,bound\n0.1,0.5\n")
+        out = run_cli("sweep", "--input", bernoulli_csv, "--divergence", family,
+                      "--eta-min", lo, "--eta-max", hi, "--steps", "5",
+                      "--curve-out", str(curve))
+        assert out.returncode == 2
+        assert out.stdout == b""
+        assert curve.read_bytes() == b"eta,bound\n0.1,0.5\n"
 
 
 def test_closed_stdout_is_exit_one_without_traceback(tmp_path):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drovar import solver
 from drovar.divergences import alpha_family, kl_family
 from drovar.dual_core import MEAN_CONDITION_TOL, NORMALIZATION_TOL
 from drovar.errors import ValidationError
@@ -64,7 +65,6 @@ FAMILY_CASES = pytest.mark.parametrize(
 def test_config_defaults():
     cfg = SolverConfig()
     assert cfg.grad_tol == 1e-9
-    assert cfg.max_iters == 10000
 
 
 @pytest.mark.parametrize(
@@ -72,7 +72,6 @@ def test_config_defaults():
     [
         {"grad_tol": 0.0},
         {"grad_tol": 1e-2},
-        {"max_iters": 0},
     ],
 )
 def test_config_rejects(kwargs):
@@ -132,9 +131,10 @@ def test_mean_bound_of_a_constant():
 
 
 @pytest.mark.parametrize("fam", [KL, A2, A_HALF], ids=["kl", "alpha:2", "alpha:0.5"])
-def test_spent_budget_is_max_iters_and_still_a_bound(fam):
+def test_spent_budget_is_max_iters_and_still_a_bound(fam, monkeypatch):
     full = variance_bound(BERNOULLI, SKEWED, fam, 0.1)
-    cut = variance_bound(BERNOULLI, SKEWED, fam, 0.1, config=SolverConfig(max_iters=2))
+    monkeypatch.setattr(solver, "_MAX_STEPS", 2)
+    cut = variance_bound(BERNOULLI, SKEWED, fam, 0.1)
     assert cut.status == MAX_ITERS
     assert cut.value >= full.value - 1e-12
 
@@ -465,6 +465,13 @@ def test_perfbench_traced_mode_installs():
                          text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     assert int(out.stdout) > 0
+    # the names drovar.solver binds to None exist only for these spans, so
+    # each must still be wrapped there; once one is not, delete it
+    wrapped = (root / "perfbench" / "spans.py").read_text()
+    placeholders = [name for name, value in vars(solver).items()
+                    if value is None and not name.startswith("__")]
+    for name in placeholders:
+        assert f'"{name}"' in wrapped, f"{name} is no longer wrapped; delete it from solver.py"
 
 
 # ---------------------------------------------------------------------------
