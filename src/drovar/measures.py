@@ -99,7 +99,11 @@ class EmpiricalMeasure:
         if np.any(w <= 0.0):
             idx = int(np.argmax(w <= 0.0))
             raise ValidationError(f"weights[{idx}] is not strictly positive")
-        if abs(_exact_sum(w) - 1.0) > _WEIGHT_SUM_TOL:
+        try:
+            total = _exact_sum(w)
+        except OverflowError:  # the sum passes the float range
+            total = math.inf
+        if abs(total - 1.0) > _WEIGHT_SUM_TOL:
             raise ValidationError("weights must sum to 1 within 1e-12")
         object.__setattr__(self, "weights", w)
 
@@ -132,7 +136,11 @@ def normalize(raw_weights) -> tuple[EmpiricalMeasure, list[int]]:
         raise ValidationError("all weights are zero")
     dropped = np.nonzero(w == 0.0)[0].tolist()
     kept = w[w > 0.0]
-    kept = kept / _exact_sum(kept)
+    try:
+        kept = kept / _exact_sum(kept)
+    except OverflowError:  # the sum passes the float range: scale down first
+        kept = kept / kept.max()
+        kept = kept / _exact_sum(kept)
     # second pass tightens the sum to a few ulps
     kept = kept / _exact_sum(kept)
     return EmpiricalMeasure(kept), dropped

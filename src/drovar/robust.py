@@ -8,7 +8,7 @@ deterministic spectral projected gradient method (Birgin, Martinez & Raydan
 2000) on its Danskin gradient, which the inner solve's worst-case weights give.
 The search's inner solves are warm-started from the previous one and build
 no certificate; one cold, certified solve at the returned decision gives the
-value it reports, or the search's own first, cold solve when it never moved.
+value it reports.
 """
 
 from __future__ import annotations
@@ -83,43 +83,34 @@ class Box:
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
 
+    def start(self, dim: int) -> np.ndarray:
+        """The center, for decisions with dim entries."""
+        if self.lo.size != dim:
+            raise ValidationError(f"box has {self.lo.size} coordinates, decisions have {dim}")
+        return (self.lo + self.hi) / 2.0
+
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """The nearest point of the box: x clipped coordinatewise."""
+        return np.clip(x, self.lo, self.hi)
+
 
 @dataclass(frozen=True)
 class Simplex:
     """x >= 0, sum(x) = 1."""
 
+    def start(self, dim: int) -> np.ndarray:
+        """The barycenter."""
+        return np.full(dim, 1.0 / dim)
 
-def _project_box(x: np.ndarray, box: Box) -> np.ndarray:
-    return np.clip(x, box.lo, box.hi)
-
-
-def _project_simplex(x: np.ndarray) -> np.ndarray:
-    # Euclidean projection via the sorted-threshold rule
-    u = np.sort(x)[::-1]
-    css = np.cumsum(u)
-    idx = np.arange(1, x.size + 1)
-    cond = u + (1.0 - css) / idx > 0.0
-    k = int(np.nonzero(cond)[0][-1])
-    theta = (1.0 - css[k]) / (k + 1)
-    return np.maximum(x + theta, 0.0)
-
-
-def _projector(constraint, dim: int):
-    if isinstance(constraint, Box):
-        if constraint.lo.size != dim:
-            raise ValidationError(
-                f"box has {constraint.lo.size} coordinates, decisions have {dim}"
-            )
-        return lambda x: _project_box(x, constraint)
-    if isinstance(constraint, Simplex):
-        return _project_simplex
-    raise ValidationError(f"unsupported constraint {constraint!r}")
-
-
-def _start_point(constraint, dim: int) -> np.ndarray:
-    if isinstance(constraint, Box):
-        return (constraint.lo + constraint.hi) / 2.0
-    return np.full(dim, 1.0 / dim)
+    def project(self, x: np.ndarray) -> np.ndarray:
+        """The Euclidean projection, by the sorted-threshold rule."""
+        u = np.sort(x)[::-1]
+        css = np.cumsum(u)
+        idx = np.arange(1, x.size + 1)
+        cond = u + (1.0 - css) / idx > 0.0
+        k = int(np.nonzero(cond)[0][-1])
+        theta = (1.0 - css[k]) / (k + 1)
+        return np.maximum(x + theta, 0.0)
 
 
 def robust_objective(
@@ -171,15 +162,14 @@ def robust_minimize(
     Deterministic: fixed start (box center or simplex barycenter); stops when
     the projected step or the line-search step falls to 1e-9 in sup-norm, or
     after 500 warm inner solves.  One more, cold and certified, at the
-    returned x gives the value, so it equals robust_objective(x) exactly;
-    when the search never leaves its start, the first evaluation was that
-    cold solve, and its value is returned without solving again.
+    returned x gives the value, so it equals robust_objective(x) exactly.
     Returns (x, worst-case value at x).
     """
     cfg = config or SolverConfig()
     check_eta(eta, family)
+    if not isinstance(constraint, (Box, Simplex)):
+        raise ValidationError(f"unsupported constraint {constraint!r}")
     worst_mean = _worst_mean_kernel(family, "auto")
-    project = _projector(constraint, scenarios.dim)
     rows, p = scenarios.rows, scenarios.weights
     last = None  # the previous inner solve's worst case and root coordinate
 
@@ -193,19 +183,15 @@ def robust_minimize(
         last = q, inner.start
         return value, -(q @ rows) + 2.0 * ((q * (xr - q @ xr)) @ rows)
 
-    x0 = project(_start_point(constraint, scenarios.dim))
-    x, f = _spg(x0, evaluate, project)
-    if x is x0:
-        # the search never moved: its first evaluation was already the cold
-        # solve of this x, the same value robust_objective(x) gives
-        return x, f
+    project = constraint.project
+    x = _spg(project(constraint.start(scenarios.dim)), evaluate, project)
     return x, robust_objective(x, scenarios, family, eta, config)
 
 
-def _spg(x, evaluate, project) -> tuple[np.ndarray, float]:
+def _spg(x, evaluate, project) -> np.ndarray:
     """The search loop of robust_minimize from the feasible x; evaluate(x)
     returns (F(x), gradient), project maps onto the constraint set.  Returns
-    the last accepted point, the start object itself if none was, and its F."""
+    the last accepted point, or x if none was."""
     f, g = evaluate(x)
     solves = 1
     # first step: the projected gradient scaled to unit sup-norm
@@ -229,10 +215,10 @@ def _spg(x, evaluate, project) -> tuple[np.ndarray, float]:
             a_star = -slope * a * a / (2.0 * (f_t - f - a * slope))
             a = min(max(a_star, 0.1 * a), 0.5 * a)
             if a * dnorm <= _STEP_TOL or solves >= _MAX_SOLVES:
-                return x, f
+                return x
             trial = x + a * d
         s, y = trial - x, g_t - g
         sy = float(s @ y)
         lam = min(max(float(s @ s) / sy, _LAM_MIN), _LAM_MAX) if sy > 0.0 else _LAM_MAX
         x, f, g = trial, f_t, g_t
-    return x, f
+    return x

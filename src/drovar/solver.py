@@ -208,7 +208,8 @@ def _first_z(v, w, eta, root_of) -> float:
     m = float(np.dot(w, v))
     sd = math.sqrt(float(np.dot(w, (v - m) ** 2)))
     x = root_of(m, sd / math.sqrt(2.0 * eta)) if sd > 0.0 else 1.0
-    return math.log(x) if x > 0.0 else 0.0
+    # at huge scales the moments overflow and x is 0, inf or nan: start at 0
+    return math.log(x) if 0.0 < x < math.inf else 0.0
 
 
 def _cexp(x: float) -> float:
@@ -424,12 +425,15 @@ def _solve(data, p, family, eta, cfg, worst_mean, start=None):
         weights, factor = m.curv
         return g, 0.5 + factor * _curvature(weights, u, phi), at
 
-    if lo == hi:
-        # phi is constant, so Var_Q[phi] = 0 and G vanishes at nu = 2*phi
-        state, last = ROOT, outer(lo)[2]
-    else:
-        nu0 = min(max(nu0, lo), hi)
-        _, state, last = _root(outer, nu0, lo, hi, cfg.grad_tol * scale, scale, budget)
+    # near the float range the moments of u and phi overflow; _root's
+    # bisection and growth steps handle the inf and nan evaluations
+    with np.errstate(over="ignore", invalid="ignore"):
+        if lo == hi:
+            # phi is constant, so Var_Q[phi] = 0 and G vanishes at nu = 2*phi
+            state, last = ROOT, outer(lo)[2]
+        else:
+            nu0 = min(max(nu0, lo), hi)
+            _, state, last = _root(outer, nu0, lo, hi, cfg.grad_tol * scale, scale, budget)
     # at a root the last point meets the criterion; otherwise keep the lowest
     # certified value evaluated
     value, nu, u, inner = last if state == ROOT else best

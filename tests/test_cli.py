@@ -88,6 +88,18 @@ def test_weight_column_normalization(tmp_path, bernoulli_csv):
     assert a.stdout == b.stdout
 
 
+def test_weights_whose_sum_overflows_normalize_like_any_other(tmp_path):
+    outs = []
+    for w in ("1", "1e308"):
+        path = tmp_path / f"w{w}.csv"
+        path.write_text(f"rho,phi,weight\n0,0,{w}\n0,1,{w}\n")
+        outs.append(run_cli("bound-variance", "--input", str(path),
+                            "--divergence", "kl", "--eta", "0.1"))
+    assert [out.returncode for out in outs] == [0, 0]
+    assert outs[1].stderr == b""
+    assert outs[0].stdout == outs[1].stdout
+
+
 def test_zero_weight_rows_are_dropped(tmp_path, bernoulli_csv):
     padded = tmp_path / "padded.csv"
     padded.write_text("rho,phi,weight\n0,0,1\n9,9,0\n0,1,1\n")
@@ -312,6 +324,7 @@ def test_closed_stdout_is_exit_one_without_traceback(tmp_path):
     proc.stdout.read(100)
     proc.stdout.close()
     stderr = proc.stderr.read()
+    proc.stderr.close()
     assert proc.wait(timeout=120) == 1
     assert stderr == b""
 

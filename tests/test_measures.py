@@ -50,6 +50,11 @@ def test_measure_rejects_bad_weights(weights):
         EmpiricalMeasure(weights=np.array(weights, dtype=float))
 
 
+def test_measure_reports_an_overflowing_sum_as_a_bad_sum():
+    with pytest.raises(ValidationError, match="weights must sum to 1 within 1e-12"):
+        EmpiricalMeasure(weights=np.array([1e308, 1e308]))
+
+
 def test_uniform_measure():
     m = uniform_measure(4)
     np.testing.assert_allclose(m.weights, 0.25)
@@ -68,6 +73,13 @@ def test_normalize_tightens_the_sum():
     m, dropped = normalize(raw)
     assert dropped == []
     assert abs(math.fsum(m.weights.tolist()) - 1.0) <= 1e-15
+
+
+def test_normalize_scales_by_the_largest_weight_when_the_sum_overflows():
+    scaled = np.array([1.0, 0.5, 0.25, 1.0])  # exact powers of two apart
+    m, dropped = normalize(1e308 * scaled)
+    assert dropped == []
+    np.testing.assert_array_equal(m.weights, normalize(scaled)[0].weights)
 
 
 @pytest.mark.parametrize("raw", [[], [0.0, 0.0], [1.0, -0.5], [1.0, np.inf]])
@@ -271,6 +283,18 @@ def test_exact_sum_runs_numpy_passes_from_the_crossover(monkeypatch):
 
 # ---------------------------------------------------------------------------
 # the variational gap E_Q[g] - E_P[f*(g)]
+
+
+def test_divergence_and_gap_reject_mismatched_inputs():
+    q, p3 = uniform_measure(2), uniform_measure(3)
+    with pytest.raises(ValidationError, match="atom counts differ: 2 vs 3"):
+        divergence_of(q, p3, kl_family())
+    with pytest.raises(ValidationError, match="g, q, and p must share one atom set"):
+        variational_gap([0.0, 0.0, 0.0], q, q, kl_family())
+    with pytest.raises(ValidationError, match="g, q, and p must share one atom set"):
+        variational_gap([0.0, 0.0], q, p3, kl_family())
+    with pytest.raises(ValidationError, match="g must be finite"):
+        variational_gap([0.0, np.nan], q, q, kl_family())
 
 
 def test_gap_at_zero_is_minus_conj_at_zero():

@@ -503,7 +503,7 @@ def test_joint_scaling_multiplies_the_bound(fam, inst):
     # (c*rho, sqrt(c)*phi) scales E_Q[rho] + Var_Q[phi] by c for every Q
     data, p, eta = inst
     base = variance_bound(data, p, fam, eta)
-    for c in (1e-6, 1e6):
+    for c in (1e-200, 1e-6, 1e6, 1e200):
         scaled = ProblemData(rho=c * data.rho, phi=math.sqrt(c) * data.phi)
         res = variance_bound(scaled, p, fam, eta)
         assert _close(res.value / c, base.value)
