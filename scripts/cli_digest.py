@@ -1,0 +1,129 @@
+"""One line per `drovar` run: its arguments, exit code and the sha256 of stdout.
+
+Writes seeded CSVs to a temporary directory and runs a fixed matrix of
+`python -m drovar` commands there: bound-variance, bound-mean, sweep,
+oracle-check and robust over kl, alpha:2, alpha:0.5, alpha:0.1 and alpha:8,
+at n = 2, 3, 10 and 200 atoms with and without ties, plus --tol, box,
+simplex and error cases.  The runs use whatever src/ is on PYTHONPATH, so
+two revisions compare by a diff of their outputs:
+
+    PYTHONPATH=<old>/src python scripts/cli_digest.py > old.txt
+    PYTHONPATH=src python scripts/cli_digest.py > new.txt
+    diff old.txt new.txt
+
+The commands run inside the temporary directory, so the printed arguments
+name files, not temporary paths.
+"""
+
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
+import numpy as np
+
+FAMILIES = ("kl", "alpha:2", "alpha:0.5", "alpha:0.1", "alpha:8")
+SIZES = (2, 3, 10, 200)
+JOBS = 2  # runs at a time
+
+
+def _write(path: Path, header: list[str], columns: list[np.ndarray]) -> None:
+    rows = zip(*(col.tolist() for col in columns))
+    path.write_text(",".join(header) + "\n" + "".join(
+        ",".join(repr(v) for v in row) + "\n" for row in rows))
+
+
+def write_inputs(tmp: Path) -> list[str]:
+    """The seeded bound CSVs (their names) plus the scenario and error CSVs."""
+    rng = np.random.default_rng(20201)
+    names = []
+    for n in SIZES:
+        rho, phi = rng.normal(size=(2, n))
+        _write(tmp / f"n{n}.csv", ["rho", "phi"], [rho, phi])
+        # ties: both columns on a 0.5 grid; a weight column with one zero
+        weight = rng.uniform(0.5, 2.0, n)
+        weight[-1] = 0.0
+        _write(tmp / f"n{n}_ties.csv", ["rho", "phi", "weight"],
+               [np.round(2.0 * rho) / 2.0, np.round(2.0 * phi) / 2.0, weight])
+        names += [f"n{n}.csv", f"n{n}_ties.csv"]
+    for n, d in ((3, 2), (10, 3), (200, 4)):
+        _write(tmp / f"scen{n}.csv", [f"r{k}" for k in range(1, d + 1)],
+               list(rng.normal(0.05, 0.2, (d, n))))
+    texts = {
+        "empty.csv": "",
+        "header_only.csv": "rho,phi\n",
+        "no_phi.csv": "rho\n1\n",
+        "empty_cell.csv": "rho,phi\n0, \n0,1\n",
+        "non_numeric.csv": "rho,phi\n0,oops\n0,1\n",
+        "overflow.csv": "rho,phi\n0,2e154\n0,-2e154\n0,1\n",
+        "overflow_scen.csv": "r1,r2\n2e154,1\n-2e154,3\n1e154,-2\n",
+    }
+    for name, text in texts.items():
+        (tmp / name).write_text(text)
+    return names
+
+
+def matrix(bound_csvs: list[str]) -> list[list[str]]:
+    runs = []
+    for name in bound_csvs:
+        for fam in FAMILIES:
+            src = ["--input", name, "--divergence", fam]
+            for eta in ("0.1", "1"):
+                runs.append(["bound-variance", *src, "--eta", eta])
+            runs.append(["bound-mean", *src, "--eta", "0.2"])
+            runs.append(["sweep", *src, "--eta-min", "0.05", "--eta-max", "0.5",
+                         "--steps", "5"])
+            runs.append(["oracle-check", *src, "--eta", "0.2"])
+    for fam in FAMILIES:
+        for n in (3, 10, 200):
+            src = ["--input", f"scen{n}.csv", "--divergence", fam, "--eta", "0.1"]
+            runs.append(["robust", *src, "--box", "0", "1"])
+            runs.append(["robust", *src, "--simplex"])
+        runs.append(["bound-variance", "--input", "n10.csv", "--divergence", fam,
+                     "--eta", "0.1", "--tol", "1e-5"])
+    bad = ["--divergence", "kl", "--eta", "0.1"]
+    runs += [
+        ["oracle-check", "--input", "n3.csv", *bad, "--tol", "1e-20"],
+        ["bound-variance", "--input", "n3.csv", *bad, "--tol", "1e-2"],
+        ["bound-variance", "--input", "n3.csv", "--divergence", "beta:2", "--eta", "0.1"],
+        ["bound-variance", "--input", "n3.csv", "--divergence", "alpha:0.5", "--eta", "5"],
+        ["sweep", "--input", "n3.csv", "--divergence", "kl", "--eta-min", "0.3",
+         "--eta-max", "0.1", "--steps", "5"],
+        ["robust", "--input", "scen3.csv", *bad, "--box", "1", "0"],
+        ["robust", "--input", "overflow_scen.csv", *bad, "--box", "0", "1"],
+        ["robust", "--input", "overflow_scen.csv", "--divergence", "alpha:2",
+         "--eta", "0.1", "--box", "0", "1"],
+    ]
+    for name in ("empty.csv", "header_only.csv", "no_phi.csv", "empty_cell.csv",
+                 "non_numeric.csv", "missing.csv"):
+        runs.append(["bound-variance", "--input", name, *bad])
+    for fam in ("kl", "alpha:2", "alpha:0.5"):
+        runs.append(["bound-variance", "--input", "overflow.csv", "--divergence", fam,
+                     "--eta", "0.1"])
+    return runs
+
+
+def main() -> None:
+    env = dict(os.environ)
+    # absolute, since the runs start in the temporary directory
+    env["PYTHONPATH"] = os.pathsep.join(
+        str(Path(p).resolve()) for p in env.get("PYTHONPATH", "").split(os.pathsep) if p)
+    with tempfile.TemporaryDirectory() as tmp:
+        runs = matrix(write_inputs(Path(tmp)))
+
+        def digest(argv: list[str]) -> str:
+            out = subprocess.run([sys.executable, "-m", "drovar", *argv], cwd=tmp, env=env,
+                                 stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+            return (f"{' '.join(argv)}  exit={out.returncode}  "
+                    f"sha256={hashlib.sha256(out.stdout).hexdigest()}")
+
+        with ThreadPoolExecutor(JOBS) as pool:
+            for line in pool.map(digest, runs):
+                print(line, flush=True)
+
+
+if __name__ == "__main__":
+    main()

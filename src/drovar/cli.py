@@ -52,45 +52,27 @@ def _fmt_float(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _emit(value, out: list[str], indent: int) -> None:
-    pad = "  " * indent
-    if isinstance(value, bool):
-        out.append("true" if value else "false")
-    elif isinstance(value, (int, np.integer)):
-        out.append(str(int(value)))
-    elif isinstance(value, (float, np.floating)):
-        out.append(_fmt_float(float(value)))
-    elif isinstance(value, str):
-        out.append(json.dumps(value))
-    elif isinstance(value, dict):
-        if not value:
-            out.append("{}")
-            return
-        out.append("{\n")
-        for i, (k, v) in enumerate(value.items()):
-            out.append(f"{pad}  {json.dumps(k)}: ")
-            _emit(v, out, indent + 1)
-            out.append(",\n" if i < len(value) - 1 else "\n")
-        out.append(pad + "}")
-    elif isinstance(value, (list, tuple, np.ndarray)):
-        seq = list(value)
-        if not seq:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(seq):
-            out.append(pad + "  ")
-            _emit(v, out, indent + 1)
-            out.append(",\n" if i < len(seq) - 1 else "\n")
-        out.append(pad + "]")
-    else:
-        raise TypeError(f"cannot emit {type(value)!r}")
+def _json(value, pad: str) -> str:
+    """value as JSON text, its container items on lines indented pad + two spaces."""
+    if isinstance(value, bool):  # before int: bool is an int
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(value)
+    if isinstance(value, float):
+        return _fmt_float(value)
+    if isinstance(value, str):
+        return json.dumps(value)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        items = [f"{inner}{json.dumps(k)}: {_json(v, inner)}" for k, v in value.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
+    # any other iterable is a list; a value that is not one raises TypeError
+    items = [inner + _json(v, inner) for v in value]
+    return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
 
 
 def render_json(value) -> str:
-    out: list[str] = []
-    _emit(value, out, 0)
-    return "".join(out)
+    return _json(value, "")
 
 
 def bound_record(res, eta: float, family) -> dict:
@@ -101,7 +83,7 @@ def bound_record(res, eta: float, family) -> dict:
             "beta": res.dual_point.beta,
             "nu": res.dual_point.nu,
         },
-        "tilt_weights": [float(w) for w in res.tilt.weights],
+        "tilt_weights": res.tilt.weights.tolist(),
         "diagnostics": {
             "normalization": res.diagnostics.normalization,
             "achieved_divergence": res.diagnostics.achieved_divergence,
@@ -275,7 +257,7 @@ def _cmd_robust(args) -> int:
     x, _ = robust_minimize(scenarios, constraint, family, args.eta, config=cfg)
     res = robust_bound(x, scenarios, family, args.eta, config=cfg)
     record = bound_record(res, args.eta, family)
-    record["x"] = [float(v) for v in x]
+    record["x"] = x.tolist()
     print(render_json(record))
     return 0
 

@@ -193,8 +193,11 @@ def _split(u: np.ndarray, w: np.ndarray):
     """top = max u, v = u - top, span = max u - min u, the mask of A = argmax u, P(A)."""
     top = float(u.max())
     v = u - top
+    span = -float(v.min())
+    if not math.isfinite(span):
+        raise ValidationError("the payoff rho + phi*(phi - nu) overflows the float range")
     on_top = v == 0.0
-    return top, v, -float(v.min()), on_top, float(w[on_top].sum())
+    return top, v, span, on_top, float(w[on_top].sum())
 
 
 def _at_top(top, w, on_top, pa, start) -> WorstMean:

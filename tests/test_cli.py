@@ -176,6 +176,36 @@ def test_robust_subcommand_box_and_simplex(tmp_path):
     rec2 = json.loads(simplex.stdout)
     assert sum(rec2["x"]) == pytest.approx(1.0, abs=1e-9)
 
+    reversed_box = run_cli("robust", "--input", str(scen), "--divergence", "kl",
+                           "--eta", "0.1", "--box", "1", "0")
+    assert reversed_box.returncode == 2
+    assert reversed_box.stdout == b""
+    assert b"--box LO must not exceed HI" in reversed_box.stderr
+
+
+def test_tol_sets_the_solver_tolerance_of_a_bound_command(tmp_path):
+    from drovar.divergences import kl_family
+    from drovar.measures import EmpiricalMeasure, ProblemData
+    from drovar.solver import SolverConfig, variance_bound
+
+    path = tmp_path / "three.csv"
+    path.write_text("rho,phi,weight\n0,0,0.5\n1,1,0.3\n0.5,-1,0.2\n")
+    args = ("bound-variance", "--input", str(path), "--divergence", "kl", "--eta", "0.1")
+    out = run_cli(*args, "--tol", "1e-4")
+    assert out.returncode == 0, out.stderr
+    data = ProblemData(rho=np.array([0.0, 1.0, 0.5]), phi=np.array([0.0, 1.0, -1.0]))
+    p = EmpiricalMeasure(np.array([0.5, 0.3, 0.2]))
+    loose = variance_bound(data, p, kl_family(), 0.1, config=SolverConfig(grad_tol=1e-4))
+    # the loose tolerance stops the solve early, so the record tells it apart
+    assert loose.iterations < variance_bound(data, p, kl_family(), 0.1).iterations
+    direct = cli.render_json(cli.bound_record(loose, 0.1, kl_family()))
+    assert json.loads(out.stdout) == json.loads(direct)
+    for tol in ("0", "1e-2"):
+        bad = run_cli(*args, "--tol", tol)
+        assert bad.returncode == 2
+        assert bad.stdout == b""
+        assert b"grad_tol must lie in (0, 1e-3)" in bad.stderr
+
 
 @pytest.mark.parametrize(
     "plain, spaced, args",
@@ -240,13 +270,21 @@ def test_non_numeric_cell_names_row_and_column(tmp_path):
     assert out.returncode == 2
     assert b"oops" in out.stderr and b"phi" in out.stderr
 
-
-def test_empty_file_is_rejected(tmp_path):
-    bad = tmp_path / "empty.csv"
-    bad.write_text("")
+    bad.write_text("rho,phi\n0, \n0,1\n")
     out = run_cli("bound-variance", "--input", str(bad),
                   "--divergence", "kl", "--eta", "0.1")
     assert out.returncode == 2
+    assert b"missing value at data row 1, column 'phi'" in out.stderr
+
+
+def test_empty_file_is_rejected(tmp_path):
+    bad = tmp_path / "empty.csv"
+    for text, message in (("", b"is empty"), ("rho,phi\n", b"has no data rows")):
+        bad.write_text(text)
+        out = run_cli("bound-variance", "--input", str(bad),
+                      "--divergence", "kl", "--eta", "0.1")
+        assert out.returncode == 2
+        assert out.stderr.startswith(b"error:") and message in out.stderr
 
 
 def _one_error_line(stderr: bytes) -> bool:
@@ -287,6 +325,24 @@ def test_bad_configuration_is_exit_two(bernoulli_csv, extra):
     out = run_cli("bound-variance", "--input", bernoulli_csv, *extra)
     assert out.returncode == 2
     assert out.stderr.startswith(b"error:")
+
+
+@pytest.mark.parametrize(
+    "text, args",
+    [("rho,phi\n0,2e154\n0,-2e154\n0,1\n", ("bound-variance", "--divergence", "alpha:0.5")),
+     ("r1,r2\n2e154,1\n-2e154,3\n1e154,-2\n", ("robust", "--divergence", "kl",
+                                                 "--box", "0", "1"))],
+    ids=["bound-variance", "robust"],
+)
+def test_a_payoff_that_overflows_is_exit_two(tmp_path, text, args):
+    # exit 1 means a closed stdout, so an overflow must not reach it as a traceback
+    bad = tmp_path / "huge.csv"
+    bad.write_text(text)
+    out = run_cli(*args, "--input", str(bad), "--eta", "0.1")
+    assert out.returncode == 2
+    assert out.stdout == b""
+    assert _one_error_line(out.stderr), out.stderr
+    assert b"overflows" in out.stderr
 
 
 def test_sweep_grid_validation(bernoulli_csv, tmp_path):
@@ -335,6 +391,38 @@ def test_oracle_check_unsupported_size(tmp_path):
     out = run_cli("oracle-check", "--input", str(big),
                   "--divergence", "kl", "--eta", "0.1")
     assert out.returncode == 5
+
+
+def test_render_json_layout_is_pinned():
+    value = {
+        "floats": [1 / 3, -0.0, float("inf"), 123456789012345.0],
+        "nested": {"flag": True, "count": 7, "label": 'say "hi"'},
+        "records": [{"ok": False}],
+        "empty_list": [],
+        "empty_dict": {},
+    }
+    assert cli.render_json(value) == (
+        '{\n'
+        '  "floats": [\n'
+        '    0.333333333333,\n'
+        '    0,\n'
+        '    1e999,\n'
+        '    1.23456789012e+14\n'
+        '  ],\n'
+        '  "nested": {\n'
+        '    "flag": true,\n'
+        '    "count": 7,\n'
+        '    "label": "say \\"hi\\""\n'
+        '  },\n'
+        '  "records": [\n'
+        '    {\n'
+        '      "ok": false\n'
+        '    }\n'
+        '  ],\n'
+        '  "empty_list": [],\n'
+        '  "empty_dict": {}\n'
+        '}'
+    )
 
 
 def test_render_json_rejects_nan():

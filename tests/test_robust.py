@@ -87,6 +87,15 @@ def test_minimize_rejects_a_constraint_of_the_wrong_size_or_kind():
         robust_minimize(s, "simplex", KL, 0.1)
 
 
+@pytest.mark.parametrize("fam", [KL, alpha_family(2.0)], ids=["kl", "alpha:2"])
+def test_minimize_rejects_returns_whose_payoff_overflows(fam):
+    s = ScenarioMatrix(rows=np.array([[2e154, 1.0], [-2e154, 3.0], [1e154, -2.0]]),
+                       weights=uniform_measure(3))
+    box = Box(lo=np.zeros(2), hi=np.ones(2))
+    with pytest.raises(ValidationError, match="overflows"):
+        robust_minimize(s, box, fam, 0.1)
+
+
 # ---------------------------------------------------------------------------
 # objective values
 

@@ -150,6 +150,19 @@ def test_variance_bound_validates_inputs():
         variance_bound(BERNOULLI, HALF, KL, 0.1, parameterization="fancy")
 
 
+@FAMILY_CASES
+def test_a_payoff_that_overflows_is_a_validation_error(fam):
+    # phi^2 = 4e308 overflows, so u - max u is nan on the top atoms; mean_bound's
+    # span 2e308 does too.  Both raise one error, and no warning on the way
+    overflow = ProblemData(rho=np.zeros(3), phi=np.array([2e154, -2e154, 1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError, match=r"rho \+ phi\*\(phi - nu\) overflows"):
+            variance_bound(overflow, uniform_measure(3), fam, 0.1)
+        with pytest.raises(ValidationError, match=r"rho \+ phi\*\(phi - nu\) overflows"):
+            mean_bound([1e308, -1e308], HALF, fam, 0.1)
+
+
 def test_tiny_top_weight_keeps_the_certificate():
     # the worst case needs beta - max u far below one ulp of max u; the
     # kernel's own weights still certify the solve.  For alpha 0.1 the
