@@ -4,8 +4,9 @@ Writes seeded CSVs to a temporary directory and runs a fixed matrix of
 `python -m drovar` commands there: bound-variance, bound-mean, sweep,
 oracle-check and robust over kl, alpha:2, alpha:0.5, alpha:0.1 and alpha:8,
 at n = 2, 3, 10 and 200 atoms with and without ties, plus --tol, box,
-simplex and error cases.  The runs use whatever src/ is on PYTHONPATH, so
-two revisions compare by a diff of their outputs:
+simplex and error cases, and bound-variance on the n = 3 atoms jointly scaled
+to (1e-14*rho, 1e-7*phi).  The runs use whatever src/ is on PYTHONPATH, so two
+revisions compare by a diff of their outputs:
 
     PYTHONPATH=<old>/src python scripts/cli_digest.py > old.txt
     PYTHONPATH=src python scripts/cli_digest.py > new.txt
@@ -43,6 +44,8 @@ def write_inputs(tmp: Path) -> list[str]:
     for n in SIZES:
         rho, phi = rng.normal(size=(2, n))
         _write(tmp / f"n{n}.csv", ["rho", "phi"], [rho, phi])
+        if n == 3:
+            _write(tmp / "n3_scaled.csv", ["rho", "phi"], [1e-14 * rho, 1e-7 * phi])
         # ties: both columns on a 0.5 grid; a weight column with one zero
         weight = rng.uniform(0.5, 2.0, n)
         weight[-1] = 0.0
@@ -102,6 +105,9 @@ def matrix(bound_csvs: list[str]) -> list[list[str]]:
         runs.append(["bound-variance", "--input", name, *bad])
     for fam in ("kl", "alpha:2", "alpha:0.5"):
         runs.append(["bound-variance", "--input", "overflow.csv", "--divergence", fam,
+                     "--eta", "0.1"])
+    for fam in FAMILIES:
+        runs.append(["bound-variance", "--input", "n3_scaled.csv", "--divergence", fam,
                      "--eta", "0.1"])
     return runs
 

@@ -32,7 +32,7 @@ from .divergences import check_eta, parse_family
 from .errors import UnsupportedSizeError, ValidationError
 from .measures import EmpiricalMeasure, ProblemData, normalize, uniform_measure
 from .oracle import OracleConfig, primal_sup_grid
-from .robust import Box, ScenarioMatrix, Simplex, robust_bound, robust_minimize
+from .robust import Box, ScenarioMatrix, Simplex, _minimize
 from .solver import SolverConfig, mean_bound, variance_bound
 
 _ORACLE_GAP_TOL = 1e-4
@@ -254,8 +254,7 @@ def _cmd_robust(args) -> int:
         constraint = Box(
             lo=np.full(scenarios.dim, lo), hi=np.full(scenarios.dim, hi)
         )
-    x, _ = robust_minimize(scenarios, constraint, family, args.eta, config=cfg)
-    res = robust_bound(x, scenarios, family, args.eta, config=cfg)
+    x, res = _minimize(scenarios, constraint, family, args.eta, cfg)
     record = bound_record(res, args.eta, family)
     record["x"] = x.tolist()
     print(render_json(record))

@@ -8,7 +8,9 @@ the infimum over lam > 0, beta, nu of the jointly convex objective
 
 where nu/2 plays the role of the worst-case mean of phi.  At fixed nu the
 (lam, beta) block is the worst-case mean dual (dual_objective_mean) of the
-payoff u = rho + phi^2 - nu*phi, so J is that dual plus nu^2/4.
+payoff u = rho + phi^2 - nu*phi, so J is that dual plus nu^2/4.  At lam = 0
+J is its closure: lam*f*(y/lam) closes to the recession function of f*, 0 for
+y <= 0 and +inf for y > 0, so J = nu^2/4 + beta if max u <= beta, else +inf.
 
 Two family-specific reductions eliminate coordinates in closed form:
 
@@ -58,14 +60,15 @@ MEAN_CONDITION_TOL = 1e-6
 
 @dataclass(frozen=True)
 class DualPoint:
-    """A point (lam, beta, nu) in the dual domain; lam must be positive."""
+    """A point (lam, beta, nu) in the dual domain, lam >= 0: at lam = 0 J takes
+    its closure value and the tilt is P restricted to {u = beta}."""
 
     lam: float
     beta: float
     nu: float
 
     def __post_init__(self):
-        _check_lam(self.lam)
+        _check_lam(self.lam, zero_ok=True)
         if not (math.isfinite(self.beta) and math.isfinite(self.nu)):
             raise ValidationError("beta and nu must be finite")
 
@@ -84,7 +87,7 @@ class Diagnostics:
     normalization      sum of tilted weights (1 at an interior optimum)
     achieved_divergence D_f(tilt, P)          (eta at an interior optimum)
     mean_condition_gap E_tilt[phi] - nu/2     (0 at an interior optimum)
-    boundary_flag      True when the solve pinned lam at its floor
+    boundary_flag      True when the solve ended BoundaryLambda
     """
 
     normalization: float
@@ -118,9 +121,9 @@ def _conj_tail(lam: float, args: np.ndarray, w: np.ndarray,
     return lam * float(np.dot(w, _conj(family, args)))
 
 
-def _check_lam(lam: float) -> None:
-    if not (math.isfinite(lam) and lam > 0.0):
-        raise ValidationError(f"lam must be positive and finite, got {lam!r}")
+def _check_lam(lam: float, zero_ok: bool = False) -> None:
+    if not (math.isfinite(lam) and (lam > 0.0 or zero_ok and lam == 0.0)):
+        raise ValidationError(f"lam must be {'>=' if zero_ok else '>'} 0 and finite, got {lam!r}")
 
 
 def dual_objective_variance(
@@ -145,12 +148,15 @@ def dual_objective_mean(
     family: FDivergenceFamily,
     eta: float,
 ) -> float:
-    """beta + eta*lam + lam*E_P[f*((values - beta)/lam)] for the worst-case mean."""
+    """beta + eta*lam + lam*E_P[f*((values - beta)/lam)] for the worst-case mean;
+    at lam = 0 its closure, beta if max(values) <= beta and +inf otherwise."""
     check_eta(eta, family)
-    _check_lam(lam)
+    _check_lam(lam, zero_ok=True)
     v = np.atleast_1d(np.asarray(values, dtype=float))
     if v.size != len(p):
         raise ValidationError("values and p must share one atom set")
+    if lam == 0.0:
+        return beta if float(v.max()) <= beta else math.inf
     with np.errstate(all="ignore"):
         args = (v - beta) / lam
         return beta + eta * lam + _conj_tail(lam, args, p.weights, family)
@@ -241,6 +247,8 @@ def gradient_variance(
     """(d/dlam, d/dbeta, d/dnu) of dual_objective_variance at a smooth finite point."""
     check_eta(eta, family)
     check_lengths(data, p)
+    if dp.lam == 0.0:
+        raise DerivativeUnavailable("J is not differentiable at lam = 0")
     args = (_payoff(data, dp.nu) - dp.beta) / dp.lam
     e_f, e_d, e_da, e_dphi = _moments(args, data.phi, p, family)
     return (
@@ -256,7 +264,8 @@ def tilt(
     p: EmpiricalMeasure,
     family: FDivergenceFamily,
 ) -> TiltResult:
-    """Worst-case weights p_i * (f*)'(Psi_i) at the dual point (unnormalized).
+    """Worst-case weights p_i * (f*)'(Psi_i) at the dual point (unnormalized);
+    at lam = 0, P conditioned on {u = beta}, which needs beta = max u.
 
     These are rebuilt from dp in absolute units, not taken from a solve, so at
     a solver's dual_point they can differ from its BoundResult.tilt, which is
@@ -267,7 +276,14 @@ def tilt(
     1 - 3.8e-15, yet these weights sum to 0.903 there.
     """
     check_lengths(data, p)
-    args = (_payoff(data, dp.nu) - dp.beta) / dp.lam
+    u = _payoff(data, dp.nu)
+    if dp.lam == 0.0:
+        if float(u.max()) != dp.beta:
+            raise ValidationError("at lam = 0 the tilt needs beta = max u")
+        on_top = u == dp.beta
+        pa = float(p.weights[on_top].sum())
+        return TiltResult(weights=np.where(on_top, p.weights / pa, 0.0))
+    args = (u - dp.beta) / dp.lam
     dens = conj_deriv(family, args)
     if not np.all(np.isfinite(dens)):
         raise ValidationError(

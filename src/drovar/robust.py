@@ -165,6 +165,12 @@ def robust_minimize(
     returned x gives the value, so it equals robust_objective(x) exactly.
     Returns (x, worst-case value at x).
     """
+    x, res = _minimize(scenarios, constraint, family, eta, config)
+    return x, res.value
+
+
+def _minimize(scenarios, constraint, family, eta, config) -> tuple[np.ndarray, BoundResult]:
+    """robust_minimize, returning the certified solve at x: (x, robust_bound(x, ...))."""
     cfg = config or SolverConfig()
     check_eta(eta, family)
     if not isinstance(constraint, (Box, Simplex)):
@@ -178,14 +184,14 @@ def robust_minimize(
         data = scenarios.problem_for(x)
         xr = data.phi
         start = None if last is None else (2.0 * float(last[0] @ xr), last[1])
-        value, _, _, inner, _, _ = _solve(data, p, family, eta, cfg, worst_mean, start)
+        value, _, inner, _, _ = _solve(data, p, family, eta, cfg, worst_mean, start)
         q = inner.q
         last = q, inner.start
         return value, -(q @ rows) + 2.0 * ((q * (xr - q @ xr)) @ rows)
 
     project = constraint.project
     x = _spg(project(constraint.start(scenarios.dim)), evaluate, project)
-    return x, robust_objective(x, scenarios, family, eta, config)
+    return x, robust_bound(x, scenarios, family, eta, config)
 
 
 def _spg(x, evaluate, project) -> np.ndarray:

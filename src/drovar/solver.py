@@ -12,12 +12,12 @@ increasing and its root lies in [2 min phi, 2 max phi].  The outer loop finds
 that root by safeguarded Newton steps, with G' from the curvature of M_f.
 Each outer step computes M_f by one monotone 1-D root in this module's kernel
 for the family (KL or alpha), warm-started from the previous outer iterate of
-the same solve.  Every evaluated F is a certified dual value; the tilt and its
-certificate are that kernel's own worst-case weights at the final nu.  Every
-root runs _root, which returns (x, state, at): where it stopped, why, and the
-evaluation there.  _solve is that outer root on its own, with an optional
-start for nu and the first inner root, and no certificate; variance_bound
-validates, runs it cold and certifies the result.
+the same solve.  Every evaluated F is a certified dual value; the tilt, its
+certificate and the dual point (lam = 0 on the boundary) are that kernel's own
+at the final nu.  Every root runs _root, which returns (x, state, at): where it
+stopped, why, and the evaluation there.  _solve is that outer root on its own,
+with an optional start for nu and the first inner root, and no certificate;
+variance_bound validates, runs it cold and certifies the result.
 
 parameterization="generic" keeps the outer loop and swaps the inner step:
 it minimizes lam*eta + beta + lam*E_P[f*((u - beta)/lam)] by two nested
@@ -53,12 +53,13 @@ from .divergences import (
     conj_eval,
     f_eval,
 )
-from .dual_core import Diagnostics, DualPoint, TiltResult, _certificate, _payoff, kl_optimal_beta
+from .dual_core import Diagnostics, DualPoint, TiltResult, _certificate, _payoff
 # perfbench/spans.py wraps these names in this module to time the dual-core
 # layer; the nested solve does not call them.
 from .dual_core import (  # noqa: F401
     alpha_reduced_objective,
     dual_objective_variance,
+    kl_optimal_beta,
     kl_reduced_objective,
     optimality_diagnostics,
     tilt,
@@ -78,8 +79,6 @@ MAX_ITERS = "MaxIters"
 # The inner roots stop three decades inside the outer tolerance, so their
 # error does not move G by more than a small share of grad_tol.
 _INNER_TOL_RATIO = 1e-3
-# The lam reported on the boundary, where the dual infimum sits at lam -> 0.
-_LAMBDA_FLOOR = 1e-12
 # Root steps one solve may take, outer plus inner.
 _MAX_STEPS = 10000
 
@@ -281,6 +280,8 @@ def _alpha_mean(u, w, family, eta, tol, budget, start) -> WorstMean:
         start = _first_z(v, w, eta, lambda m, r: (r / abs(a - 1.0) - sg * m) / span)
     z, _, (d, wr1, wr2, s1, sk, ck) = _root(fn, start, z_lo, _Z_RANGE, tol, 1.0, budget)
     beta = top - d if sg > 0.0 else max(top + d, math.nextafter(top, math.inf))
+    if not math.isfinite(beta):
+        raise ValidationError("beta overflows: rho + phi*(phi - nu) nears the float range")
     # the curvature factor divides by d and s1 in turn: their product can underflow
     return WorstMean(top + sg * d * (ck - 1.0), wr1 / s1, ck * s1 / sk, False,
                      abs(a - 1.0) * d * ck / big_d, beta, z,
@@ -338,16 +339,6 @@ def _curvature(c: np.ndarray, u: np.ndarray, h: np.ndarray) -> float:
     return shh - suh * suh / suu if suu > 0.0 else shh
 
 
-def _wall_beta(u: np.ndarray, w: np.ndarray, family: FDivergenceFamily, lam: float) -> float:
-    """For an alpha family: the beta at which the tilt at a tiny lam puts
-    density 1/P(A) on A = argmax u and nothing elsewhere."""
-    top, _, _, _, pa = _split(u, w)
-    a = family.alpha
-    sg = 1.0 if a > 1.0 else -1.0
-    beta = top - sg * lam * _cexp((1.0 - a) * math.log(pa)) / abs(a - 1.0)
-    return beta if sg > 0.0 else max(beta, math.nextafter(top, math.inf))
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     grad_tol: float = 1e-9
@@ -382,27 +373,14 @@ def _worst_mean_kernel(family: FDivergenceFamily, parameterization: str):
     return _kl_mean if family.kind == KL else _alpha_mean
 
 
-def _dual_point(nu, u, inner, data, p, family) -> DualPoint:
-    """The full dual point behind an inner solve, with lam held at the floor
-    on the boundary and a beta there at which the tilt is finite."""
-    lam = max(inner.lam, _LAMBDA_FLOOR)
-    if lam == inner.lam:
-        beta = inner.beta
-    elif family.kind == KL:
-        beta = kl_optimal_beta(lam, nu, data, p)
-    else:
-        beta = _wall_beta(u, p.weights, family, lam)
-    return DualPoint(lam, beta, nu)
-
-
 def _solve(data, p, family, eta, cfg, worst_mean, start=None):
     """The outer root in nu on validated inputs, with no certificate.
 
     start = (nu0, z0) seeds the outer root at nu0 (clipped to the bracket) and
     the kernel's first inner root at z0; None starts from 2*E_P[phi] and the
-    kernel's own guess.  Returns (value, nu, u, inner, state, steps): the dual
-    value, nu, the payoff and the worst-case-mean solve behind it, the outer
-    root's state and the root steps taken, outer plus inner.
+    kernel's own guess.  Returns (value, nu, inner, state, steps): the dual
+    value, nu, the worst-case-mean solve behind it, the outer root's state and
+    the root steps taken, outer plus inner.
     """
     phi, w = data.phi, p.weights
     budget = Budget(_MAX_STEPS)
@@ -417,7 +395,7 @@ def _solve(data, p, family, eta, cfg, worst_mean, start=None):
         u = _payoff(data, nu)
         m = worst_mean(u, w, family, eta, inner_tol, budget, z)
         z = m.start
-        at = (nu * nu / 4.0 + m.value, nu, u, m)
+        at = (nu * nu / 4.0 + m.value, nu, m)
         if best is None or at[0] < best[0]:
             best = at
         g = nu / 2.0 - float(np.dot(m.q, phi))
@@ -439,8 +417,8 @@ def _solve(data, p, family, eta, cfg, worst_mean, start=None):
             _, state, last = _root(outer, nu0, lo, hi, cfg.grad_tol * scale, scale, budget)
     # at a root the last point meets the criterion; otherwise keep the lowest
     # certified value evaluated
-    value, nu, u, inner = last if state == ROOT else best
-    return value, nu, u, inner, state, budget.used
+    value, nu, inner = last if state == ROOT else best
+    return value, nu, inner, state, budget.used
 
 
 def _status(state: str, inner: WorstMean) -> str:
@@ -469,12 +447,12 @@ def variance_bound(
     check_lengths(data, p)
     check_eta(eta, family)
     worst_mean = _worst_mean_kernel(family, parameterization)
-    value, nu, u, inner, state, steps = _solve(data, p, family, eta, cfg, worst_mean)
+    value, nu, inner, state, steps = _solve(data, p, family, eta, cfg, worst_mean)
     status = _status(state, inner)
     weights = inner.q * inner.mass
     return BoundResult(
         value=value,
-        dual_point=_dual_point(nu, u, inner, data, p, family),
+        dual_point=DualPoint(inner.lam, inner.beta, nu),
         tilt=TiltResult(weights),
         diagnostics=_certificate(weights, p, data.phi, nu, family,
                                  status == BOUNDARY_LAMBDA),

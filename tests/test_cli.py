@@ -331,8 +331,10 @@ def test_bad_configuration_is_exit_two(bernoulli_csv, extra):
     "text, args",
     [("rho,phi\n0,2e154\n0,-2e154\n0,1\n", ("bound-variance", "--divergence", "alpha:0.5")),
      ("r1,r2\n2e154,1\n-2e154,3\n1e154,-2\n", ("robust", "--divergence", "kl",
-                                                 "--box", "0", "1"))],
-    ids=["bound-variance", "robust"],
+                                                 "--box", "0", "1")),
+     # a finite span whose beta = max u + d overflows for alpha < 1
+     ("rho,phi\n1e308,0\n0,0\n", ("bound-mean", "--divergence", "alpha:0.5"))],
+    ids=["bound-variance", "robust", "beta"],
 )
 def test_a_payoff_that_overflows_is_exit_two(tmp_path, text, args):
     # exit 1 means a closed stdout, so an overflow must not reach it as a traceback

@@ -44,8 +44,7 @@ HALF = uniform_measure(2)
 
 def test_dual_point_validation():
     DualPoint(1.0, 0.0, 0.0)
-    with pytest.raises(ValidationError):
-        DualPoint(0.0, 0.0, 0.0)
+    DualPoint(0.0, 0.0, 0.0)  # the boundary of the dual
     with pytest.raises(ValidationError):
         DualPoint(-1.0, 0.0, 0.0)
     with pytest.raises(ValidationError):
@@ -99,8 +98,9 @@ def test_mean_objective_values():
 
 
 def test_mean_objective_validation():
-    with pytest.raises(ValidationError):
-        dual_objective_mean(0.0, 0.0, [0.0, 1.0], HALF, KL, 0.1)
+    # at lam = 0 the objective is its closure: beta when max(values) <= beta
+    assert dual_objective_mean(0.0, 0.0, [0.0, 1.0], HALF, KL, 0.1) == math.inf
+    assert dual_objective_mean(0.0, 1.0, [0.0, 1.0], HALF, KL, 0.1) == 1.0
     with pytest.raises(ValidationError):
         dual_objective_mean(1.0, 0.0, [0.0, 1.0, 2.0], HALF, KL, 0.1)
 
@@ -290,6 +290,13 @@ def test_gradient_raises_outside_domain():
         gradient_variance(DualPoint(1.0, 0.0, 0.0), BERNOULLI, HALF, A_HALF, 0.5)
 
 
+@pytest.mark.parametrize("fam", [KL, A2, A_HALF], ids=lambda f: f.label)
+def test_gradient_raises_at_lam_zero(fam):
+    # J is +inf on one side of lam = 0, so it has no gradient there
+    with pytest.raises(DerivativeUnavailable):
+        gradient_variance(DualPoint(0.0, 1.0, 0.0), BERNOULLI, HALF, fam, 0.5)
+
+
 # ---------------------------------------------------------------------------
 # joint convexity (midpoint form)
 
@@ -335,6 +342,23 @@ def test_tilt_zeroes_negative_arguments_for_alpha_above_one():
 def test_tilt_raises_outside_domain():
     with pytest.raises(ValidationError):
         tilt(DualPoint(1.0, 0.0, 0.0), BERNOULLI, HALF, A_HALF)
+
+
+@pytest.mark.parametrize("fam", [KL, A2, A_HALF], ids=lambda f: f.label)
+def test_tilt_at_lam_zero_conditions_p_on_the_top_atoms(fam):
+    # u = rho at nu = 0 with phi = 0: atoms 1 and 3 tie at the top
+    data = ProblemData(rho=np.array([2.0, -1.0, 2.0]), phi=np.zeros(3))
+    p = EmpiricalMeasure(np.array([0.2, 0.3, 0.5]))
+    t = tilt(DualPoint(0.0, 2.0, 0.0), data, p, fam)
+    np.testing.assert_array_equal(t.weights, [0.2 / 0.7, 0.0, 0.5 / 0.7])
+    diag = optimality_diagnostics(DualPoint(0.0, 2.0, 0.0), data, p, fam, 0.5)
+    assert diag.normalization == pytest.approx(1.0, abs=1e-15)
+    assert diag.achieved_divergence == pytest.approx(
+        0.7 * f_eval(fam, 1.0 / 0.7) + 0.3 * f_eval(fam, 0.0), rel=1e-14)
+    # no atom reaches beta, or one passes it
+    for beta in (2.5, 1.0):
+        with pytest.raises(ValidationError):
+            tilt(DualPoint(0.0, beta, 0.0), data, p, fam)
 
 
 def test_diagnostics_at_a_stationary_point():

@@ -13,7 +13,12 @@ from hypothesis import strategies as st
 
 from drovar import solver
 from drovar.divergences import alpha_family, kl_family
-from drovar.dual_core import MEAN_CONDITION_TOL, NORMALIZATION_TOL
+from drovar.dual_core import (
+    MEAN_CONDITION_TOL,
+    NORMALIZATION_TOL,
+    dual_objective_variance,
+    optimality_diagnostics,
+)
 from drovar.errors import ValidationError
 from drovar.measures import (
     EmpiricalMeasure,
@@ -163,6 +168,14 @@ def test_a_payoff_that_overflows_is_a_validation_error(fam):
             mean_bound([1e308, -1e308], HALF, fam, 0.1)
 
 
+@pytest.mark.parametrize("values", [[1e308, 0.0], [1.7e308, 1.53e308]])
+def test_a_beta_that_overflows_names_the_payoff(values):
+    # alpha < 1 puts beta = max u + d above the top atom: the span is finite
+    # here, but that sum is not
+    with pytest.raises(ValidationError, match=r"beta overflows: rho \+ phi\*\(phi - nu\)"):
+        mean_bound(values, HALF, A_HALF, 0.1)
+
+
 def test_tiny_top_weight_keeps_the_certificate():
     # the worst case needs beta - max u far below one ulp of max u; the
     # kernel's own weights still certify the solve.  For alpha 0.1 the
@@ -211,6 +224,13 @@ def test_boundary_tilts_lie_in_the_ball(fam):
         boundary += 1
         assert abs(res.tilt.weights.sum() - 1.0) <= 1e-9
         assert res.diagnostics.achieved_divergence <= eta * (1.0 + 1e-9)
+        # the reported dual point reproduces the bound, and at lam = 0 the
+        # certificate of the solve as well
+        dp = res.dual_point
+        j = dual_objective_variance(dp, data, p, fam, eta)
+        assert abs(j - res.value) <= 1e-12 * (1.0 + abs(res.value))
+        if dp.lam == 0.0:
+            assert optimality_diagnostics(dp, data, p, fam, eta, boundary=True) == res.diagnostics
     assert boundary >= 10
 
 
@@ -348,7 +368,7 @@ def test_warm_start_matches_the_cold_solve(fam, n, kind, request):
     cfg = SolverConfig()
     kernel = _worst_mean_kernel(fam, "auto")
     cold = variance_bound(data, p, fam, eta)
-    value, nu, _, inner, _, _ = _solve(data, p, fam, eta, cfg, kernel)
+    value, nu, inner, _, _ = _solve(data, p, fam, eta, cfg, kernel)
     assert value == cold.value
     # a neighbour: the same atoms with rho and phi moved by about 1e-3
     rng = np.random.default_rng([*seed, 1])
@@ -356,10 +376,10 @@ def test_warm_start_matches_the_cold_solve(fam, n, kind, request):
                        phi=data.phi + 1e-3 * rng.standard_normal(n))
     near_run = _solve(near, p, fam, eta, cfg, kernel)
     lo, hi = 2.0 * data.phi.min(), 2.0 * data.phi.max()
-    starts = [(nu, inner.start), (near_run[1], near_run[3].start),
+    starts = [(nu, inner.start), (near_run[1], near_run[2].start),
               (lo, inner.start), (hi, inner.start), (lo, None), (hi, None)]
     for start in starts:
-        v, _, _, m, st, _ = _solve(data, p, fam, eta, cfg, kernel, start)
+        v, _, m, st, _ = _solve(data, p, fam, eta, cfg, kernel, start)
         assert abs(v - cold.value) <= 1e-12 * (1.0 + abs(cold.value)), start
         assert _status(st, m) == cold.status, start
 
@@ -521,6 +541,20 @@ def test_joint_scaling_multiplies_the_bound(fam, inst):
         res = variance_bound(scaled, p, fam, eta)
         assert _close(res.value / c, base.value)
         assert res.status == base.status
+
+
+@FAMILY_CASES
+@PROPERTY_SETTINGS
+@given(inst=instances())
+def test_joint_scaling_keeps_the_dual_point_tight(fam, inst):
+    # the reported dual point reproduces the bound at every scale, so nothing
+    # in absolute units (such as a floor on lam) moves it off the solve
+    data, p, eta = inst
+    for c in (1e-200, 1e-14, 1e-6, 1e6, 1e200):
+        scaled = ProblemData(rho=c * data.rho, phi=math.sqrt(c) * data.phi)
+        res = variance_bound(scaled, p, fam, eta)
+        j = dual_objective_variance(res.dual_point, scaled, p, fam, eta)
+        assert _close(j / c, res.value / c)
 
 
 @FAMILY_CASES
