@@ -6,8 +6,8 @@ put that revision's src/ on PYTHONPATH and give the run a label.  Each run
 writes its section into the JSON file under that label and keeps the
 sections of other labels, so two revisions land side by side in one file.
 
-    PYTHONPATH=<old>/src python scripts/bench.py --label parent --out BENCH_11.json
-    PYTHONPATH=src python scripts/bench.py --label change --out BENCH_11.json
+    PYTHONPATH=<old>/src python scripts/bench.py --label parent --out BENCH_18.json
+    PYTHONPATH=src python scripts/bench.py --label change --out BENCH_18.json
 
 Recorded per label:
 
@@ -19,6 +19,10 @@ Recorded per label:
   solve); the median wall time in ms over the repeats, and the value reached;
 - solve: the median wall time in ms of one variance_bound at n = 10, 10^3
   and 10^5 atoms for kl, alpha:2, alpha:0.5, alpha:0.1 and alpha:8;
+- faults, sys_ms: at n = 10^5, beside each of those solves, the minor page
+  faults and the system CPU milliseconds per solve, from resource.getrusage
+  around `repeats` solves after the warm-up: what the kernel spends mapping
+  fresh pages for the solve's temporaries;
 - certify: at n = 10^5, beside each of those solves, the median wall time
   in ms of one optimality_diagnostics at the solve's dual point: the tilt
   and the certificate's three exact sums;
@@ -43,6 +47,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import argparse
 import json
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -143,8 +148,18 @@ def bench_robust(repeats: int) -> dict:
     return out
 
 
-def bench_solves(repeats: int) -> tuple[dict, dict]:
-    out, certify = {}, {}
+def per_call_rusage(fn, repeats: int) -> tuple[float, float]:
+    """Minor page faults and system CPU ms per call of fn."""
+    before = resource.getrusage(resource.RUSAGE_SELF)
+    for _ in range(repeats):
+        fn()
+    after = resource.getrusage(resource.RUSAGE_SELF)
+    return ((after.ru_minflt - before.ru_minflt) / repeats,
+            (after.ru_stime - before.ru_stime) * 1e3 / repeats)
+
+
+def bench_solves(repeats: int) -> tuple[dict, dict, dict, dict]:
+    out, certify, faults, sys_ms = {}, {}, {}, {}
     for n in SOLVE_SIZES:
         rng = np.random.default_rng([4, n])
         data = ProblemData(rho=rng.uniform(-1.0, 1.0, n), phi=rng.uniform(-1.0, 1.0, n))
@@ -156,10 +171,12 @@ def bench_solves(repeats: int) -> tuple[dict, dict]:
             ms = median_ms(lambda: variance_bound(data, p, fam, 0.1), repeats)
             out[f"{label}_n{n}"] = round(ms, 3)
             if n == CERTIFY_SIZE:
+                flt, sys_per = per_call_rusage(lambda: variance_bound(data, p, fam, 0.1), repeats)
+                faults[f"{label}_n{n}"], sys_ms[f"{label}_n{n}"] = round(flt, 1), round(sys_per, 3)
                 ms = median_ms(lambda: optimality_diagnostics(res.dual_point, data, p, fam, 0.1),
                                repeats)
                 certify[f"{label}_n{n}"] = round(ms, 3)
-    return out, certify
+    return out, certify, faults, sys_ms
 
 
 def bench_sweep() -> dict:
@@ -223,7 +240,7 @@ def main() -> None:
     ap.add_argument("--repeats", type=int, default=5, help="timed runs per median")
     args = ap.parse_args()
 
-    solve_ms, certify_ms = bench_solves(args.repeats)
+    solve_ms, certify_ms, faults, sys_ms = bench_solves(args.repeats)
     section = {
         "host": {"python": platform.python_version(), "numpy": np.__version__,
                  "machine": platform.machine(), "cpus": os.cpu_count(),
@@ -231,6 +248,8 @@ def main() -> None:
         "repeats": args.repeats,
         "robust": bench_robust(args.repeats),
         "solve_ms": solve_ms,
+        "faults_per_solve": faults,
+        "sys_ms_per_solve": sys_ms,
         "certify_ms": certify_ms,
         "sweep": bench_sweep(),
         "cli": bench_cli(args.repeats),
@@ -244,7 +263,8 @@ def main() -> None:
               f"{rec['median_ms']:9.2f} ms")
     for name, ms in section["solve_ms"].items():
         cert = section["certify_ms"].get(name)
-        print(f"{name:18s} {ms:9.2f} ms" + ("" if cert is None else f"  certify {cert:7.2f} ms"))
+        print(f"{name:18s} {ms:9.2f} ms" + ("" if cert is None else
+              f"  {faults[name]:7.1f} faults {sys_ms[name]:6.2f} sys ms  certify {cert:7.2f} ms"))
     sweep = section["sweep"]
     print(f"sweep dual {sweep['dual_s']} s, oracle {sweep['oracle_s']} s, "
           f"worst gap {sweep['worst_gap']:.2e}")

@@ -96,10 +96,12 @@ class Diagnostics:
     boundary_flag: bool
 
 
-def _payoff(data: ProblemData, nu: float) -> np.ndarray:
+def _payoff(data: ProblemData, nu: float, out: np.ndarray | None = None) -> np.ndarray:
     """u = psi - nu*phi, computed as rho + phi*(phi - nu) so that phi^2 and
-    nu*phi do not cancel where they nearly agree."""
-    return data.rho + data.phi * (data.phi - nu)
+    nu*phi do not cancel where they nearly agree; written into out if given."""
+    out = np.subtract(data.phi, nu, out=out)
+    np.multiply(data.phi, out, out=out)
+    return np.add(data.rho, out, out=out)
 
 
 def _kl_log_mean(args: np.ndarray, w: np.ndarray) -> float:

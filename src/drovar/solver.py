@@ -19,6 +19,12 @@ stopped, why, and the evaluation there.  _solve is that outer root on its own,
 with an optional start for nu and the first inner root, and no certificate;
 variance_bound validates, runs it cold and certifies the result.
 
+Every evaluation of a solve writes its n-sized intermediates (the payoff u,
+the kernel's per-atom terms, the curvature's residuals) into one scratch
+block that _solve allocates once, so that at 10^5 atoms the evaluations do
+not map fresh pages each time.  What outlives an evaluation is a fresh
+array: the worst-case weights WorstMean.q and every array of a BoundResult.
+
 parameterization="generic" keeps the outer loop and swaps the inner step:
 it minimizes lam*eta + beta + lam*E_P[f*((u - beta)/lam)] by two nested
 secant roots on conj_eval and conj_deriv alone, with no closed form, so it
@@ -105,6 +111,15 @@ SPENT = "spent"
 
 _Z_RANGE = 500.0  # exp(+-500) keeps every scaled coordinate finite and nonzero
 
+# The scratch block of a solve: row 0 holds u, and the kernel gets the list of
+# rows 1-5 as its rows[0:5], with v in rows[0] (_split); _curvature reuses
+# rows[0:3] after the kernel returns, so a kernel keeps its curv arrays out of
+# them.  One block, not an array per row: glibc returns freed arrays of 10^5
+# atoms to the OS and the next evaluation faults them in again, while a block
+# this size, once freed, raises glibc's mmap and trim thresholds so later
+# solves reuse its heap (scripts/bench.py records the faults per solve).
+_SCRATCH_ROWS = 6
+
 
 class Budget:
     """Root steps taken by one solve, outer and inner, against its limit."""
@@ -175,7 +190,8 @@ class WorstMean(NamedTuple):
     start     the root coordinate, to warm-start the next solve
     curv      (c, k) such that the second derivative of M_f along h is
               k * sum_i c_i r_i^2, r the c-weighted residual of h on (1, u);
-              None when the kernel does not know it
+              None when the kernel does not know it.  c may be a scratch row,
+              valid until the next evaluation
     """
 
     value: float
@@ -188,10 +204,11 @@ class WorstMean(NamedTuple):
     curv: tuple | None
 
 
-def _split(u: np.ndarray, w: np.ndarray):
-    """top = max u, v = u - top, span = max u - min u, the mask of A = argmax u, P(A)."""
+def _split(u: np.ndarray, w: np.ndarray, out: np.ndarray):
+    """top = max u, v = u - top (into out), span = max u - min u, the mask of
+    A = argmax u, P(A)."""
     top = float(u.max())
-    v = u - top
+    v = np.subtract(u, top, out=out)
     span = -float(v.min())
     if not math.isfinite(span):
         raise ValidationError("the payoff rho + phi*(phi - nu) overflows the float range")
@@ -203,12 +220,14 @@ def _at_top(top, w, on_top, pa, start) -> WorstMean:
     return WorstMean(top, np.where(on_top, w / pa, 0.0), 1.0, True, 0.0, top, start, None)
 
 
-def _first_z(v, w, eta, root_of) -> float:
+def _first_z(v, w, eta, root_of, tmp) -> float:
     """A starting log coordinate from the small-radius (chi-square) limit,
     where the worst case tilts P by sqrt(2*eta)/sd along u: root_of(m, r)
-    maps m = E_P[v] and r = sd_P(v)/sqrt(2*eta) to the kernel's scaled root."""
+    maps m = E_P[v] and r = sd_P(v)/sqrt(2*eta) to the kernel's scaled root.
+    tmp is a scratch row."""
     m = float(np.dot(w, v))
-    sd = math.sqrt(float(np.dot(w, (v - m) ** 2)))
+    dev = np.subtract(v, m, out=tmp)
+    sd = math.sqrt(float(np.dot(w, np.square(dev, out=dev))))
     x = root_of(m, sd / math.sqrt(2.0 * eta)) if sd > 0.0 else 1.0
     # at huge scales the moments overflow and x is 0, inf or nan: start at 0
     return math.log(x) if 0.0 < x < math.inf else 0.0
@@ -218,24 +237,25 @@ def _cexp(x: float) -> float:
     return math.exp(min(x, EXP_ARG_CAP))
 
 
-def _kl_mean(u, w, family, eta, tol, budget, start) -> WorstMean:
+def _kl_mean(u, w, family, eta, tol, budget, start, rows) -> WorstMean:
     """M_f(u) for KL: the root in t of KL(omega_t || P) = eta, where the
     dual value is lam*eta + lam*log E_P[exp(u/lam)] at lam = 1/t."""
-    top, v, span, on_top, pa = _split(u, w)
+    top, v, span, on_top, pa = _split(u, w, rows[0])
     if span == 0.0 or -math.log(pa) - eta <= tol * eta:
         return _at_top(top, w, on_top, pa, start)
-    v2 = v * v
+    v2 = np.multiply(v, v, out=rows[1])
 
     def fn(z):
         t = math.exp(z) / span
-        we = w * np.exp(t * v)
+        we = np.multiply(v, t, out=rows[2])
+        np.multiply(w, np.exp(we, out=we), out=we)
         e = float(we.sum())
         m1 = float(np.dot(we, v)) / e
         m2 = float(np.dot(we, v2)) / e
         return t * m1 - math.log(e) - eta, t * t * (m2 - m1 * m1), (t, we, e)
 
     if start is None:
-        start = _first_z(v, w, eta, lambda m, r: span / r)
+        start = _first_z(v, w, eta, lambda m, r: span / r, rows[3])
     z, _, (t, we, e) = _root(fn, start, -_Z_RANGE, _Z_RANGE, tol * eta, 1.0, budget)
     lam = span * math.exp(-z)
     log_e = math.log(e)
@@ -244,7 +264,7 @@ def _kl_mean(u, w, family, eta, tol, budget, start) -> WorstMean:
                      top + lam * (log_e - 1.0), z, (q, t))
 
 
-def _alpha_mean(u, w, family, eta, tol, budget, start) -> WorstMean:
+def _alpha_mean(u, w, family, eta, tol, budget, start, rows) -> WorstMean:
     """M_f(u) for an alpha family: with sg = sign(alpha - 1) and
     k = alpha/(alpha - 1), the minimum over beta = top - sg*d, d > 0, of
     beta + sg*C*E_P[(sg*(u - beta))_+^k]^(1/k)."""
@@ -253,10 +273,10 @@ def _alpha_mean(u, w, family, eta, tol, budget, start) -> WorstMean:
     k = a / (a - 1.0)
     big_d = 1.0 + a * (a - 1.0) * eta
     log_c = math.log(big_d) / a
-    top, v, span, on_top, pa = _split(u, w)
+    top, v, span, on_top, pa = _split(u, w, rows[0])
     if span == 0.0 or sg * (log_c + math.log(pa) / k) >= -math.log1p(tol):
         return _at_top(top, w, on_top, pa, start)
-    vs = v / span
+    vs = np.divide(v, span, out=rows[1])
     # for alpha < 1 the density rho^(k-1) is 1 on A and about exp(z/(1-alpha))
     # elsewhere, so a light top atom puts the root near (1-alpha)*log(min w):
     # the bracket reaches twice that, as far as exp(-z) stays finite
@@ -265,20 +285,30 @@ def _alpha_mean(u, w, family, eta, tol, budget, start) -> WorstMean:
     def fn(z):
         # rho = (sg*(u - beta))_+ / d is 1 on A, >= 1 for alpha < 1; ck = C*E_P[rho^k]^(1/k)
         d = math.exp(z) * span
-        rho = vs * (sg * math.exp(-z)) + 1.0
+        rho = np.multiply(vs, sg * math.exp(-z), out=rows[2])
+        np.add(rho, 1.0, out=rho)
         if sg > 0.0:
-            rho = np.maximum(rho, 0.0)
-        wr1 = w * rho ** (k - 1.0)
-        wr2 = (np.divide(wr1, rho, out=np.zeros_like(rho), where=rho > 0.0)
-               if sg > 0.0 else wr1 / rho)
+            np.maximum(rho, 0.0, out=rho)
+        wr1 = np.multiply(w, np.power(rho, k - 1.0, out=rows[3]), out=rows[3])
+        wr2 = rows[4]
+        if sg > 0.0:
+            wr2.fill(0.0)
+            np.divide(wr1, rho, out=wr2, where=rho > 0.0)
+        else:
+            np.divide(wr1, rho, out=wr2)
         s1, sk, s2 = float(wr1.sum()), float(np.dot(wr1, rho)), float(wr2.sum())
         ck = _cexp(log_c + math.log(sk) / k)
         return (sg * (ck * s1 / sk - 1.0), sg * (k - 1.0) * ck * (s2 / sk - (s1 / sk) ** 2),
                 (d, wr1, wr2, s1, sk, ck))
 
     if start is None:
-        start = _first_z(v, w, eta, lambda m, r: (r / abs(a - 1.0) - sg * m) / span)
+        start = _first_z(v, w, eta, lambda m, r: (r / abs(a - 1.0) - sg * m) / span, rows[2])
     z, _, (d, wr1, wr2, s1, sk, ck) = _root(fn, start, z_lo, _Z_RANGE, tol, 1.0, budget)
+    if d == 0.0:
+        # a light top atom puts the root near (1-alpha)*log(min w), where
+        # exp(z)*span is below the smallest float for a tiny span
+        raise ValidationError("the scale of rho + phi*(phi - nu) is too small: "
+                              "|beta - max u| underflows to 0")
     beta = top - d if sg > 0.0 else max(top + d, math.nextafter(top, math.inf))
     if not math.isfinite(beta):
         raise ValidationError("beta overflows: rho + phi*(phi - nu) nears the float range")
@@ -288,18 +318,18 @@ def _alpha_mean(u, w, family, eta, tol, budget, start) -> WorstMean:
                      (wr2, 1.0 / (abs(a - 1.0) * d) / s1))
 
 
-def _general_mean(u, w, family, eta, tol, budget, start) -> WorstMean:
+def _general_mean(u, w, family, eta, tol, budget, start, rows) -> WorstMean:
     """M_f(u) from lam*eta + beta + lam*E_P[f*((u - beta)/lam)] alone, by two
     nested secant roots on conj_eval and conj_deriv: beta = top - b/t solves
     E_P[(f*)'(t*v + b)] = 1 at each t = 1/lam, and t solves D_f(Q_t || P) = eta.
     b = exp(x) > 0, or b = -exp(-x) < 0 when dom f* is y < 0 (alpha < 1)."""
-    top, v, span, on_top, pa = _split(u, w)
+    top, v, span, on_top, pa = _split(u, w, rows[0])
     excess = pa * f_eval(family, 1.0 / pa) + (1.0 - pa) * f_eval(family, 0.0) - eta
     if span == 0.0 or excess <= tol * eta:
         return _at_top(top, w, on_top, pa, start)
     sign = -1.0 if math.isfinite(family.divergence_cap) else 1.0
     if start is None:
-        start = (_first_z(v, w, eta, lambda m, r: span / r), 0.0)
+        start = (_first_z(v, w, eta, lambda m, r: span / r, rows[1]), 0.0)
     xb = start[1]  # b's log coordinate, warm-started across steps in t
 
     def fn(z):
@@ -328,14 +358,15 @@ def _general_mean(u, w, family, eta, tol, budget, start) -> WorstMean:
                      False, lam, beta, (z, xb), None)
 
 
-def _curvature(c: np.ndarray, u: np.ndarray, h: np.ndarray) -> float:
-    """sum_i c_i r_i^2, r the c-weighted least-squares residual of h on (1, u)."""
+def _curvature(c: np.ndarray, u: np.ndarray, h: np.ndarray, rows) -> float:
+    """sum_i c_i r_i^2, r the c-weighted least-squares residual of h on (1, u),
+    with rows[0:3] as scratch."""
     total = float(c.sum())
-    du = u - float(np.dot(c, u)) / total
-    dh = h - float(np.dot(c, h)) / total
-    cu = c * du
+    du = np.subtract(u, float(np.dot(c, u)) / total, out=rows[0])
+    dh = np.subtract(h, float(np.dot(c, h)) / total, out=rows[1])
+    cu = np.multiply(c, du, out=rows[2])
     suu, suh = float(np.dot(cu, du)), float(np.dot(cu, dh))
-    shh = float(np.dot(c * dh, dh))
+    shh = float(np.dot(np.multiply(c, dh, out=cu), dh))
     return shh - suh * suh / suu if suu > 0.0 else shh
 
 
@@ -389,11 +420,12 @@ def _solve(data, p, family, eta, cfg, worst_mean, start=None):
     scale = (hi - lo) / 2.0
     nu0, z = (2.0 * float(np.dot(w, phi)), None) if start is None else start
     best = None
+    u_row, *rows = np.empty((_SCRATCH_ROWS, len(w)))
 
     def outer(nu):
         nonlocal z, best
-        u = _payoff(data, nu)
-        m = worst_mean(u, w, family, eta, inner_tol, budget, z)
+        u = _payoff(data, nu, out=u_row)
+        m = worst_mean(u, w, family, eta, inner_tol, budget, z, rows)
         z = m.start
         at = (nu * nu / 4.0 + m.value, nu, m)
         if best is None or at[0] < best[0]:
@@ -404,7 +436,7 @@ def _solve(data, p, family, eta, cfg, worst_mean, start=None):
         if m.curv is None:
             return g, None, at
         weights, factor = m.curv
-        return g, 0.5 + factor * _curvature(weights, u, phi), at
+        return g, 0.5 + factor * _curvature(weights, u, phi, rows), at
 
     # near the float range the moments of u and phi overflow; _root's
     # bisection and growth steps handle the inf and nan evaluations

@@ -347,6 +347,19 @@ def test_a_payoff_that_overflows_is_exit_two(tmp_path, text, args):
     assert b"overflows" in out.stderr
 
 
+def test_a_payoff_too_small_in_scale_is_exit_two(tmp_path):
+    # alpha 0.1's inner root for this light top atom puts |beta - max u| below
+    # the smallest float; that is an input error, not a traceback
+    tiny = tmp_path / "tiny.csv"
+    tiny.write_text("rho,phi,weight\n-7.14e-84,-1.95e-42,1.15e-261\n5.78e-85,2.92e-42,1\n")
+    out = run_cli("bound-variance", "--input", str(tiny), "--divergence", "alpha:0.1",
+                  "--eta", "0.62")
+    assert out.returncode == 2
+    assert out.stdout == b""
+    assert _one_error_line(out.stderr), out.stderr
+    assert b"too small" in out.stderr
+
+
 def test_sweep_grid_validation(bernoulli_csv, tmp_path):
     out = run_cli("sweep", "--input", bernoulli_csv, "--divergence", "kl",
                   "--eta-min", "0.3", "--eta-max", "0.1", "--steps", "5")

@@ -176,6 +176,17 @@ def test_a_beta_that_overflows_names_the_payoff(values):
         mean_bound(values, HALF, A_HALF, 0.1)
 
 
+def test_a_payoff_too_small_for_the_alpha_root_is_a_validation_error():
+    # the light top atom puts alpha 0.1's inner root near 0.9*log(1.15e-261),
+    # where d = exp(z)*span underflows for a span of 1e-83: |beta - max u| is
+    # no float, and the error names the payoff's scale instead of dividing by 0
+    data = ProblemData(rho=np.array([-7.14e-84, 5.78e-85]),
+                       phi=np.array([-1.95e-42, 2.92e-42]))
+    p, _ = normalize([1.15e-261, 1.0])
+    with pytest.raises(ValidationError, match=r"scale of rho \+ phi\*\(phi - nu\) is too small"):
+        variance_bound(data, p, A_TENTH, 0.62)
+
+
 def test_tiny_top_weight_keeps_the_certificate():
     # the worst case needs beta - max u far below one ulp of max u; the
     # kernel's own weights still certify the solve.  For alpha 0.1 the
@@ -462,6 +473,35 @@ def test_repeated_solves_are_bit_identical():
     np.testing.assert_array_equal(a.tilt.weights, b.tilt.weights)
 
 
+@pytest.mark.parametrize("fam_a, fam_b", [(A_HALF, KL), (KL, A2)],
+                         ids=["alpha:0.5-kl", "kl-alpha:2"])
+def test_no_solve_sees_another_solves_scratch(fam_a, fam_b):
+    # every solve evaluates in a scratch block of its own: A, then B (same n,
+    # other data, other family), then A again agree bit for bit, and nothing
+    # A returned moves while B runs
+    rng = np.random.default_rng(61)
+    n, cfg = 2000, SolverConfig()
+    data_a, p_a = random_instance(rng, n)
+    data_b, p_b = random_instance(rng, n)
+    first = variance_bound(data_a, p_a, fam_a, 0.2)
+    _, _, inner, _, _ = _solve(data_a, p_a, fam_a, 0.2, cfg, _worst_mean_kernel(fam_a, "auto"))
+    tilt_bytes, q_bytes = first.tilt.weights.tobytes(), inner.q.tobytes()
+    other = variance_bound(data_b, p_b, fam_b, 0.5)
+    _solve(data_b, p_b, fam_b, 0.5, cfg, _worst_mean_kernel(fam_b, "auto"))
+    assert first.tilt.weights.tobytes() == tilt_bytes
+    assert inner.q.tobytes() == q_bytes
+    again = variance_bound(data_a, p_a, fam_a, 0.2)
+    assert again.value == first.value
+    assert again.dual_point == first.dual_point
+    assert again.diagnostics == first.diagnostics
+    assert (again.status, again.iterations) == (first.status, first.iterations)
+    assert again.tilt.weights.tobytes() == tilt_bytes
+    arrays = [first.tilt.weights, again.tilt.weights, other.tilt.weights, inner.q]
+    for i, a in enumerate(arrays):
+        for b in arrays[i + 1:] + [data_a.rho, data_a.phi, p_a.weights]:
+            assert not np.shares_memory(a, b)
+
+
 def test_status_strings():
     assert CONVERGED == "Converged"
     assert BOUNDARY_LAMBDA == "BoundaryLambda"
@@ -529,6 +569,29 @@ def _close(a, b, slack=0.0):
     return abs(a - b) <= 1e-9 * (1.0 + abs(b) + slack)
 
 
+def _scaled(data, c):
+    """(c*rho, sqrt(c)*phi), or None when that flushes a nonzero entry below
+    the smallest normal float: the result is then another instance, not this
+    one scaled."""
+    scaled = ProblemData(rho=c * data.rho, phi=math.sqrt(c) * data.phi)
+    for old, new in ((data.rho, scaled.rho), (data.phi, scaled.phi)):
+        if (np.abs(new[old != 0.0]) < np.finfo(float).tiny).any():
+            return None
+    return scaled
+
+
+@FAMILY_CASES
+def test_a_flushed_scaling_is_another_instance(fam):
+    # c = 1e-200 flushes rho = (0, 4.2e-200) to (0, 0): a payoff of span 0,
+    # whose bound sits on the boundary, while the unscaled one is interior
+    data = ProblemData(rho=np.array([0.0, 4.2e-200]), phi=np.zeros(2))
+    flushed = ProblemData(rho=1e-200 * data.rho, phi=data.phi)
+    assert flushed.rho.tolist() == [0.0, 0.0]
+    assert _scaled(data, 1e-200) is None
+    assert variance_bound(data, HALF, fam, 0.05).status == CONVERGED
+    assert variance_bound(flushed, HALF, fam, 0.05).status == BOUNDARY_LAMBDA
+
+
 @FAMILY_CASES
 @PROPERTY_SETTINGS
 @given(inst=instances())
@@ -537,7 +600,9 @@ def test_joint_scaling_multiplies_the_bound(fam, inst):
     data, p, eta = inst
     base = variance_bound(data, p, fam, eta)
     for c in (1e-200, 1e-6, 1e6, 1e200):
-        scaled = ProblemData(rho=c * data.rho, phi=math.sqrt(c) * data.phi)
+        scaled = _scaled(data, c)
+        if scaled is None:
+            continue
         res = variance_bound(scaled, p, fam, eta)
         assert _close(res.value / c, base.value)
         assert res.status == base.status
@@ -551,7 +616,9 @@ def test_joint_scaling_keeps_the_dual_point_tight(fam, inst):
     # in absolute units (such as a floor on lam) moves it off the solve
     data, p, eta = inst
     for c in (1e-200, 1e-14, 1e-6, 1e6, 1e200):
-        scaled = ProblemData(rho=c * data.rho, phi=math.sqrt(c) * data.phi)
+        scaled = _scaled(data, c)
+        if scaled is None:
+            continue
         res = variance_bound(scaled, p, fam, eta)
         j = dual_objective_variance(res.dual_point, scaled, p, fam, eta)
         assert _close(j / c, res.value / c)
