@@ -10,14 +10,18 @@ worst-case mean.  F is 1/2-strongly convex; by Danskin's theorem its
 derivative is G(nu) = nu/2 - E_{Q*}[phi], Q* the worst case of M_f, so G is
 increasing and its root lies in [2 min phi, 2 max phi].  The outer loop finds
 that root by safeguarded Newton steps, with G' from the curvature of M_f.
-Each outer step computes M_f by one monotone 1-D root in this module's kernel
-for the family (KL or alpha), warm-started from the previous outer iterate of
-the same solve.  Every evaluated F is a certified dual value; the tilt, its
-certificate and the dual point (lam = 0 on the boundary) are that kernel's own
-at the final nu.  Every root runs _root, which returns (x, state, at): where it
-stopped, why, and the evaluation there.  _solve is that outer root on its own,
-with an optional start for nu and the first inner root, and no certificate;
-variance_bound validates, runs it cold and certifies the result.
+Each outer step decides the boundary by one rule for every kernel: with
+P_A = P conditioned on A = argmax u, if max u = min u or
+D_f(P_A || P) - eta <= inner_tol*eta, P_A is the worst case and
+M_f(u) = max u, the lam -> 0 end of the dual.  Otherwise one monotone 1-D
+root in this module's kernel for the family (KL or alpha) gives M_f,
+warm-started from the previous outer iterate of the same solve.  Every
+evaluated F is a certified dual value; the tilt, its certificate and the dual
+point (lam = 0 on the boundary) are the worst case's at the final nu.  Every
+root runs _root, which returns (x, state, at): where it stopped, why, and the
+evaluation there.  _solve is that outer root on its own, with an optional
+start for nu and the first inner root, and no certificate; variance_bound
+validates, runs it cold and certifies the result.
 
 Every evaluation of a solve writes its n-sized intermediates (the payoff u,
 the kernel's per-atom terms, the curvature's residuals) into one scratch
@@ -25,20 +29,19 @@ block that _solve allocates once, so that at 10^5 atoms the evaluations do
 not map fresh pages each time.  What outlives an evaluation is a fresh
 array: the worst-case weights WorstMean.q and every array of a BoundResult.
 
-parameterization="generic" keeps the outer loop and swaps the inner step:
-it minimizes lam*eta + beta + lam*E_P[f*((u - beta)/lam)] by two nested
-secant roots on conj_eval and conj_deriv alone, with no closed form, so it
-cross-checks the family kernels.
+parameterization="generic" keeps the outer loop and its boundary rule and
+swaps the kernel: it minimizes lam*eta + beta + lam*E_P[f*((u - beta)/lam)]
+by two nested secant roots on conj_eval and conj_deriv alone, with no closed
+form, so it cross-checks the family kernels.
 
 Every stopping test is relative to the instance's own scale: |G| to the range
 of phi, the inner roots to eta or to their dimensionless derivative.  The
 statuses:
 
     Converged       |G(nu)| <= grad_tol * (max phi - min phi)
-    BoundaryLambda  the ball holds P restricted to A = argmax u at the final
-                    nu, so M_f(u) = max u is the lam -> 0 limit of the dual;
-                    or the outer bracket closed on a jump of G, a kink of F
-                    where atoms of u tie
+    BoundaryLambda  the boundary rule held at the final nu, so M_f(u) = max u
+                    is the lam -> 0 limit of the dual; or the outer bracket
+                    closed on a jump of G, a kink of F where atoms of u tie
     MaxIters        _MAX_STEPS root steps, outer plus inner, ran out
 """
 
@@ -57,7 +60,6 @@ from .divergences import (
     check_eta,
     conj_deriv,
     conj_eval,
-    f_eval,
 )
 from .dual_core import Diagnostics, DualPoint, TiltResult, _certificate, _payoff
 # perfbench/spans.py wraps these names in this module to time the dual-core
@@ -92,18 +94,15 @@ _MAX_STEPS = 10000
 # ---------------------------------------------------------------------------
 # The worst-case mean M_f(u) = sup { E_Q[u] : D_f(Q, P) <= eta }
 #
-# With top = max u, v = u - top, A = argmax u and span = max u - min u, each
-# family's dual reduces to one increasing 1-D function, solved in a
-# dimensionless log coordinate z:
+# A kernel gets _split's top = max u, v = u - top and span = max u - min u
+# where the outer loop's rule finds no boundary.  There each family's dual
+# reduces to one increasing 1-D function, solved in a dimensionless log
+# coordinate z:
 #
 #   kl     t = 1/lam = exp(z)/span:  KL(omega_t || P) - eta, omega_t ~ p*exp(t*u)
 #   alpha  beta = top - sg*d, d = exp(z)*span, sg = sign(alpha-1), k = alpha/(alpha-1):
 #          sg times the beta-derivative of beta + sg*C*E_P[(sg*(u - beta))_+^k]^(1/k),
 #          C = (1 + alpha(alpha-1)eta)^(1/alpha); for alpha < 1, k < 0 and beta > max u
-#
-# The boundary case, where the ball holds P restricted to A and M_f(u) = max u,
-# is the limit at the end of that range: -log P(A) <= eta and
-# sg*log(C*P(A)^(1/k)) >= 0 respectively.
 
 ROOT = "root"
 STALLED = "stalled"
@@ -185,7 +184,7 @@ class WorstMean(NamedTuple):
     q         the normalized worst-case weights
     mass      the sum of the unnormalized weights p*(f*)' at the root found,
               which q*mass recovers (1 where the kernel normalizes exactly)
-    boundary  the ball holds P restricted to argmax u, so M_f(u) = max u
+    boundary  the outer loop's rule holds: q is P conditioned on argmax u
     lam, beta the dual point at the root (lam = 0 on the boundary)
     start     the root coordinate, to warm-start the next solve
     curv      (c, k) such that the second derivative of M_f along h is
@@ -216,8 +215,13 @@ def _split(u: np.ndarray, w: np.ndarray, out: np.ndarray):
     return top, v, span, on_top, float(w[on_top].sum())
 
 
-def _at_top(top, w, on_top, pa, start) -> WorstMean:
-    return WorstMean(top, np.where(on_top, w / pa, 0.0), 1.0, True, 0.0, top, start, None)
+def _top_divergence(family: FDivergenceFamily, pa: float) -> float:
+    """D_f(P_A || P) = pa*f(1/pa) + (1 - pa)*f(0), P_A = P conditioned on a set
+    of mass pa: the least radius whose ball holds P_A."""
+    if family.kind == KL:
+        return -math.log(pa)
+    a = family.alpha
+    return math.expm1(min((1.0 - a) * math.log(pa), EXP_ARG_CAP)) / (a * (a - 1.0))
 
 
 def _first_z(v, w, eta, root_of, tmp) -> float:
@@ -237,12 +241,9 @@ def _cexp(x: float) -> float:
     return math.exp(min(x, EXP_ARG_CAP))
 
 
-def _kl_mean(u, w, family, eta, tol, budget, start, rows) -> WorstMean:
+def _kl_mean(top, v, span, w, family, eta, tol, budget, start, rows) -> WorstMean:
     """M_f(u) for KL: the root in t of KL(omega_t || P) = eta, where the
     dual value is lam*eta + lam*log E_P[exp(u/lam)] at lam = 1/t."""
-    top, v, span, on_top, pa = _split(u, w, rows[0])
-    if span == 0.0 or -math.log(pa) - eta <= tol * eta:
-        return _at_top(top, w, on_top, pa, start)
     v2 = np.multiply(v, v, out=rows[1])
 
     def fn(z):
@@ -264,7 +265,7 @@ def _kl_mean(u, w, family, eta, tol, budget, start, rows) -> WorstMean:
                      top + lam * (log_e - 1.0), z, (q, t))
 
 
-def _alpha_mean(u, w, family, eta, tol, budget, start, rows) -> WorstMean:
+def _alpha_mean(top, v, span, w, family, eta, tol, budget, start, rows) -> WorstMean:
     """M_f(u) for an alpha family: with sg = sign(alpha - 1) and
     k = alpha/(alpha - 1), the minimum over beta = top - sg*d, d > 0, of
     beta + sg*C*E_P[(sg*(u - beta))_+^k]^(1/k)."""
@@ -273,9 +274,6 @@ def _alpha_mean(u, w, family, eta, tol, budget, start, rows) -> WorstMean:
     k = a / (a - 1.0)
     big_d = 1.0 + a * (a - 1.0) * eta
     log_c = math.log(big_d) / a
-    top, v, span, on_top, pa = _split(u, w, rows[0])
-    if span == 0.0 or sg * (log_c + math.log(pa) / k) >= -math.log1p(tol):
-        return _at_top(top, w, on_top, pa, start)
     vs = np.divide(v, span, out=rows[1])
     # for alpha < 1 the density rho^(k-1) is 1 on A and about exp(z/(1-alpha))
     # elsewhere, so a light top atom puts the root near (1-alpha)*log(min w):
@@ -318,15 +316,11 @@ def _alpha_mean(u, w, family, eta, tol, budget, start, rows) -> WorstMean:
                      (wr2, 1.0 / (abs(a - 1.0) * d) / s1))
 
 
-def _general_mean(u, w, family, eta, tol, budget, start, rows) -> WorstMean:
+def _general_mean(top, v, span, w, family, eta, tol, budget, start, rows) -> WorstMean:
     """M_f(u) from lam*eta + beta + lam*E_P[f*((u - beta)/lam)] alone, by two
     nested secant roots on conj_eval and conj_deriv: beta = top - b/t solves
     E_P[(f*)'(t*v + b)] = 1 at each t = 1/lam, and t solves D_f(Q_t || P) = eta.
     b = exp(x) > 0, or b = -exp(-x) < 0 when dom f* is y < 0 (alpha < 1)."""
-    top, v, span, on_top, pa = _split(u, w, rows[0])
-    excess = pa * f_eval(family, 1.0 / pa) + (1.0 - pa) * f_eval(family, 0.0) - eta
-    if span == 0.0 or excess <= tol * eta:
-        return _at_top(top, w, on_top, pa, start)
     sign = -1.0 if math.isfinite(family.divergence_cap) else 1.0
     if start is None:
         start = (_first_z(v, w, eta, lambda m, r: span / r, rows[1]), 0.0)
@@ -339,12 +333,13 @@ def _general_mean(u, w, family, eta, tol, budget, start, rows) -> WorstMean:
 
         def normalization(x):
             b = sign * math.exp(sign * x)
-            return float(np.dot(w, conj_deriv(family, tv + b))) - 1.0, None, b
+            y = tv + b
+            dens = conj_deriv(family, y)
+            return float(np.dot(w, dens)) - 1.0, None, (b, y, dens)
 
-        xb, _, b = _root(normalization, xb, -_Z_RANGE, _Z_RANGE, tol, 1.0, budget)
-        y = tv + b
+        xb, _, (b, y, dens) = _root(normalization, xb, -_Z_RANGE, _Z_RANGE, tol, 1.0, budget)
         ef = float(np.dot(w, conj_eval(family, y)))
-        wd = w * conj_deriv(family, y)
+        wd = w * dens
         # -dJ/dlam at the optimal beta: D_f(Q_t || P) - eta when sum(wd) = 1
         return float(np.dot(wd, y)) - ef - eta, None, (b, ef, wd)
 
@@ -425,7 +420,11 @@ def _solve(data, p, family, eta, cfg, worst_mean, start=None):
     def outer(nu):
         nonlocal z, best
         u = _payoff(data, nu, out=u_row)
-        m = worst_mean(u, w, family, eta, inner_tol, budget, z, rows)
+        top, v, span, on_top, pa = _split(u, w, rows[0])
+        if span == 0.0 or _top_divergence(family, pa) - eta <= inner_tol * eta:
+            m = WorstMean(top, np.where(on_top, w / pa, 0.0), 1.0, True, 0.0, top, z, None)
+        else:
+            m = worst_mean(top, v, span, w, family, eta, inner_tol, budget, z, rows)
         z = m.start
         at = (nu * nu / 4.0 + m.value, nu, m)
         if best is None or at[0] < best[0]:

@@ -155,14 +155,14 @@ def test_minimize_in_a_degenerate_box_stays_put():
     assert val == robust_objective(np.zeros(1), s, KL, 0.1)
 
 
-@pytest.mark.parametrize("fam", [KL, alpha_family(2.0), alpha_family(0.5)],
-                         ids=["kl", "alpha:2", "alpha:0.5"])
 @pytest.mark.parametrize("d, constraint, moves", [
     (2, Box(lo=np.full(2, 0.3), hi=np.full(2, 0.3)), False),  # the start is the only point
     (1, Simplex(), False),  # so is the barycenter of a 1-asset simplex
     (2, Box(lo=np.zeros(2), hi=np.ones(2)), True),
 ], ids=["point-box", "one-asset-simplex", "box"])
-def test_minimize_reuses_the_first_solve_when_the_search_stays_put(
+@pytest.mark.parametrize("fam", [KL, alpha_family(2.0), alpha_family(0.5)],
+                         ids=["kl", "alpha:2", "alpha:0.5"])
+def test_minimize_ends_in_one_certified_solve_whether_or_not_it_moves(
         monkeypatch, fam, d, constraint, moves):
     s = _drifting_returns(np.random.default_rng([11, d]), 25, d)
     calls = {"search": 0, "certified": 0}

@@ -245,6 +245,33 @@ def test_boundary_tilts_lie_in_the_ball(fam):
     assert boundary >= 10
 
 
+@pytest.mark.parametrize("fam", [KL, A_TENTH, A_HALF, A2, A8],
+                         ids=["kl", "alpha:0.1", "alpha:0.5", "alpha:2", "alpha:8"])
+def test_the_boundary_starts_where_the_ball_holds_p_on_the_top_atoms(fam):
+    # u = rho has A = argmax u = {0, 1} with P(A) = 0.5, and the ball holds P
+    # conditioned on A from D = D_f(P_A || P) = pa*f(1/pa) + (1 - pa)*f(0) on
+    data = ProblemData(rho=np.array([1.0, 1.0, 0.0]), phi=np.zeros(3))
+    p = EmpiricalMeasure(np.array([0.2, 0.3, 0.5]))
+    pa = 0.5
+    if fam is KL:
+        d = math.log(1.0 / pa)
+    else:
+        a = fam.alpha
+        d = (pa ** (1.0 - a) - 1.0) / (a * (a - 1.0))
+    for param in ("auto", "generic"):
+        above = variance_bound(data, p, fam, d * (1.0 + 1e-6), parameterization=param)
+        assert above.status == BOUNDARY_LAMBDA, param
+        assert above.value == 1.0, param
+        assert above.dual_point.lam == 0.0, param
+        assert above.tilt.weights.tolist() == [0.4, 0.6, 0.0], param
+        below = variance_bound(data, p, fam, d * (1.0 - 1e-6), parameterization=param)
+        assert below.status == CONVERGED, param
+        assert below.dual_point.lam > 0.0, param
+        # for alpha < 1 the worst case moves a mass of order (D - eta)^(1/alpha)
+        # off A: about 1e-61 at alpha 0.1, which 1 - value cannot show
+        assert below.value < 1.0 or (fam is A_TENTH and below.value == 1.0), param
+
+
 def test_kink_of_the_outer_function_stalls_without_a_warning():
     # three KL atoms whose outer root in nu stalls on a jump of G (a kink of F
     # where atoms of u tie), after inner roots up to z = 35; no floating-point
