@@ -6,17 +6,19 @@ put that revision's src/ on PYTHONPATH and give the run a label.  Each run
 writes its section into the JSON file under that label and keeps the
 sections of other labels, so two revisions land side by side in one file.
 
-    PYTHONPATH=<old>/src python scripts/bench.py --label parent --out BENCH_18.json
-    PYTHONPATH=src python scripts/bench.py --label change --out BENCH_18.json
+    PYTHONPATH=<old>/src python scripts/bench.py --label parent --out BENCH_21.json
+    PYTHONPATH=src python scripts/bench.py --label change --out BENCH_21.json
 
 Recorded per label:
 
 - robust: for each robust_minimize instance (acceptance criterion 11, the
-  demo's four etas, four 8-asset KL boxes) the inner solves per call,
-  counted by wrapping ScenarioMatrix.problem_for, which every revision calls
-  once per inner solve; the root steps per call, outer plus inner, summed
-  over the drovar.solver.Budget objects the call makes (one per inner
-  solve); the median wall time in ms over the repeats, and the value reached;
+  demo's four etas, four 8-asset KL boxes) the evaluations per call, counted
+  by wrapping ScenarioMatrix.problem_for, which every revision calls once per
+  evaluation of the search (a nested inner solve before the joint search in
+  (x, nu)) and once for the final certified solve; the root steps per call,
+  summed over the drovar.solver.Budget objects the call makes, which the
+  solver module builds by name, one per evaluation and one per certified
+  solve; the median wall time in ms over the repeats, and the value reached;
 - solve: the median wall time in ms of one variance_bound at n = 10, 10^3
   and 10^5 atoms for kl, alpha:2, alpha:0.5, alpha:0.1 and alpha:8;
 - faults, sys_ms: at n = 10^5, beside each of those solves, the minor page
@@ -139,11 +141,11 @@ def bench_robust(repeats: int) -> dict:
             calls[0] = 0
             budgets.clear()
             _, value = robust.robust_minimize(scen, box, KL, eta)
-            solves, steps = calls[0], sum(b.used for b in budgets)
+            evals, steps = calls[0], sum(b.used for b in budgets)
         finally:
             ScenarioMatrix.problem_for, solver.Budget = problem_for, budget
         ms = median_ms(lambda: robust.robust_minimize(scen, box, KL, eta), repeats)
-        out[name] = {"inner_solves": solves, "root_steps": steps,
+        out[name] = {"evaluations": evals, "root_steps": steps,
                      "median_ms": round(ms, 3), "value": value}
     return out
 
@@ -259,7 +261,7 @@ def main() -> None:
     doc[args.label] = section
     path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     for name, rec in section["robust"].items():
-        print(f"{name:18s} {rec['inner_solves']:4d} solves {rec['root_steps']:5d} steps "
+        print(f"{name:18s} {rec['evaluations']:4d} evals {rec['root_steps']:5d} steps "
               f"{rec['median_ms']:9.2f} ms")
     for name, ms in section["solve_ms"].items():
         cert = section["certify_ms"].get(name)

@@ -3,12 +3,13 @@ mean-variance objective of returns <x, r> over a box or simplex of decisions.
 
 For a decision x the inner problem uses rho = -<x, r> (negated return, so the
 worst case penalizes low means) and phi = <x, r> (the return whose variance
-is penalized).  The objective is convex in x, and the outer minimizer is a
-deterministic spectral projected gradient method (Birgin, Martinez & Raydan
-2000) on its Danskin gradient, which the inner solve's worst-case weights give.
-The search's inner solves are warm-started from the previous one and build
-no certificate; one cold, certified solve at the returned decision gives the
-value it reports.
+is penalized).  Through the dual the objective is the minimum over nu of
+F(x, nu) = nu^2/4 + M_f(-<x,r> + <x,r>(<x,r> - nu)), jointly convex in (x, nu),
+and the minimizer is a deterministic projected gradient method over (x, nu)
+on its Danskin gradient, spectral (Birgin, Martinez & Raydan 2000) in x and
+Newton in nu: one shared evaluation of F per point, with no certificate.
+One cold, certified solve at the returned decision gives the value it
+reports.
 """
 
 from __future__ import annotations
@@ -20,9 +21,9 @@ import numpy as np
 from .divergences import FDivergenceFamily, check_eta
 from .errors import ValidationError
 from .measures import EmpiricalMeasure, ProblemData
-from .solver import BoundResult, SolverConfig, _solve, _worst_mean_kernel, variance_bound
+from .solver import BoundResult, SolverConfig, _Evaluation, variance_bound
 
-_MAX_SOLVES = 500
+_MAX_EVALS = 500
 _STEP_TOL = 1e-9
 _ARMIJO = 1e-4
 _LAM_MIN, _LAM_MAX = 1e-10, 1e10
@@ -143,27 +144,28 @@ def robust_minimize(
     eta: float,
     config: SolverConfig | None = None,
 ) -> tuple[np.ndarray, float]:
-    """Monotone spectral projected gradient over the constraint set.
+    """Monotone projected gradient over (x, nu), x in the constraint set.
 
-    F(x) = sup_Q E_Q[-<x,r>] + Var_Q[<x,r>] is a supremum of convex
-    quadratics in x, so it is convex, and by Danskin's theorem its gradient
-    at the worst case Q* of the inner solve is -E_Q*[r] + 2 Cov_Q*(r, <x,r>).
-    Each iteration steps to the projection of a Barzilai-Borwein gradient
-    step and backtracks along it (Armijo, safeguarded quadratic
-    interpolation); the trial points are convex combinations of feasible
-    points, so they stay feasible.  The search is monotone because F has a
-    kink at x = 0, where every atom ties.
-
-    Each inner solve but the first is warm-started from the previous one:
-    the outer root from nu = 2*E_Q[<x,r>] under the previous worst case Q,
-    the stationarity point of the dual in nu, and the worst-case mean from
-    the previous root coordinate.  These solves build no certificate.
+    With c = nu/2, F(x, nu) = nu^2/4 + M_f(-<x,r> + <x,r>(<x,r> - nu)) is
+    M_f(-<x,r> + (<x,r> - c)^2), and M_f is monotone and convex, so F is
+    jointly convex.  Its minimum over nu is the robust objective, and by
+    Danskin's theorem the worst case Q of one evaluation gives the whole
+    gradient, (E_Q[(2<x,r> - nu - 1) r], nu/2 - E_Q[<x,r>]), and the
+    evaluation's curvature gives d^2F/dnu^2.
+    Each iteration moves x to the projection of a Barzilai-Borwein gradient
+    step and nu by a Newton step, then backtracks along that direction
+    (Armijo, safeguarded quadratic interpolation); the trial points are
+    convex combinations of feasible points, so they stay feasible.  The
+    search is monotone because F has a kink at x = 0, where every atom ties.
+    nu starts at 2*E_P[<x,r>].  Each evaluation runs one kernel root,
+    warm-started from the previous one's, and builds no certificate.
 
     Deterministic: fixed start (box center or simplex barycenter); stops when
-    the projected step or the line-search step falls to 1e-9 in sup-norm, or
-    after 500 warm inner solves.  One more, cold and certified, at the
-    returned x gives the value, so it equals robust_objective(x) exactly.
-    Returns (x, worst-case value at x).
+    the Newton step in nu and the projected gradient step in x, at the
+    spectral length and at unit length, fall to 1e-9 in sup-norm, when the
+    line-search step does, or after 500 evaluations.  One cold, certified solve at the returned x, the
+    only solve where the set is one point, gives the value, so it equals
+    robust_objective(x) exactly.  Returns (x, worst-case value at x).
     """
     x, res = _minimize(scenarios, constraint, family, eta, config)
     return x, res.value
@@ -175,56 +177,62 @@ def _minimize(scenarios, constraint, family, eta, config) -> tuple[np.ndarray, B
     check_eta(eta, family)
     if not isinstance(constraint, (Box, Simplex)):
         raise ValidationError(f"unsupported constraint {constraint!r}")
-    worst_mean = _worst_mean_kernel(family, "auto")
-    rows, p = scenarios.rows, scenarios.weights
-    last = None  # the previous inner solve's worst case and root coordinate
+    rows, w = scenarios.rows, scenarios.weights.weights
+    evaluation = _Evaluation(scenarios.weights, family, eta, cfg, "auto")
+    x = constraint.project(constraint.start(scenarios.dim))
 
-    def evaluate(x):
-        nonlocal last
+    def evaluate(x, nu):
         data = scenarios.problem_for(x)
         xr = data.phi
-        start = None if last is None else (2.0 * float(last[0] @ xr), last[1])
-        value, _, inner, _, _ = _solve(data, p, family, eta, cfg, worst_mean, start)
-        q = inner.q
-        last = q, inner.start
-        return value, -(q @ rows) + 2.0 * ((q * (xr - q @ xr)) @ rows)
+        value, m, d2 = evaluation(data, nu)
+        g, gnu = (m.q * (2.0 * xr - nu - 1.0)) @ rows, nu / 2.0 - float(m.q @ xr)
+        if not (np.isfinite(g).all() and np.isfinite(gnu)):
+            raise ValidationError("the gradient of the robust objective overflows the float range")
+        return value, g, gnu, d2
 
-    project = constraint.project
-    x = _spg(project(constraint.start(scenarios.dim)), evaluate, project)
+    # x + (1, ..., d) projects back onto x only where the set is one point
+    if not np.array_equal(constraint.project(x + np.arange(1.0, x.size + 1.0)), x):
+        with np.errstate(over="ignore", invalid="ignore"):
+            x = _spg(x, 2.0 * float(w @ (rows @ x)), evaluate, constraint.project)
     return x, robust_bound(x, scenarios, family, eta, config)
 
 
-def _spg(x, evaluate, project) -> np.ndarray:
-    """The search loop of robust_minimize from the feasible x; evaluate(x)
-    returns (F(x), gradient), project maps onto the constraint set.  Returns
-    the last accepted point, or x if none was."""
-    f, g = evaluate(x)
-    solves = 1
+def _spg(x, nu, evaluate, project) -> np.ndarray:
+    """The search loop of robust_minimize from the feasible x and any nu;
+    evaluate(x, nu) returns (F, dF/dx, dF/dnu, d^2F/dnu^2), project maps x
+    onto the constraint set.  Returns the last accepted x, or x if none was."""
+    f, g, gnu, d2 = evaluate(x, nu)
+    evals = 1
     # first step: the projected gradient scaled to unit sup-norm
     first = float(np.max(np.abs(project(x - g) - x)))
     lam = min(max(1.0 / first, _LAM_MIN), _LAM_MAX) if first > 0.0 else 1.0
-    while solves < _MAX_SOLVES:
+    while evals < _MAX_EVALS:
         p = project(x - lam * g)
         d = p - x
-        dnorm = float(np.max(np.abs(d)))
-        if dnorm <= _STEP_TOL:
+        dnorm, dnu = float(np.max(np.abs(d))), -gnu / d2
+        # a short spectral step beside a kink is no stop while the unit one is long
+        if (max(dnorm, abs(dnu)) <= _STEP_TOL
+                and float(np.max(np.abs(project(x - g) - x))) <= _STEP_TOL):
             break
-        slope = float(g @ d)
+        slope = float(g @ d) + gnu * dnu
         a = 1.0
         # the full step lands on the projection itself, exactly feasible
-        trial = p
+        trial, trial_nu = p, nu + dnu
         while True:
-            f_t, g_t = evaluate(trial)
-            solves += 1
+            f_t, g_t, gnu_t, d2_t = evaluate(trial, trial_nu)
+            evals += 1
             if f_t <= f + _ARMIJO * a * slope:
                 break
             a_star = -slope * a * a / (2.0 * (f_t - f - a * slope))
             a = min(max(a_star, 0.1 * a), 0.5 * a)
-            if a * dnorm <= _STEP_TOL or solves >= _MAX_SOLVES:
+            if a * dnorm <= _STEP_TOL or evals >= _MAX_EVALS:
                 return x
-            trial = x + a * d
+            trial, trial_nu = x + a * d, nu + a * dnu
         s, y = trial - x, g_t - g
         sy = float(s @ y)
-        lam = min(max(float(s @ s) / sy, _LAM_MIN), _LAM_MAX) if sy > 0.0 else _LAM_MAX
-        x, f, g = trial, f_t, g_t
+        # nu moves between the two gradients, so s.y <= 0 does not show F flat
+        # along s: keep the last spectral step then
+        if sy > 0.0:
+            lam = min(max(float(s @ s) / sy, _LAM_MIN), _LAM_MAX)
+        x, nu, f, g, gnu, d2 = trial, trial_nu, f_t, g_t, gnu_t, d2_t
     return x

@@ -15,18 +15,18 @@ P_A = P conditioned on A = argmax u, if max u = min u or
 D_f(P_A || P) - eta <= inner_tol*eta, P_A is the worst case and
 M_f(u) = max u, the lam -> 0 end of the dual.  Otherwise one monotone 1-D
 root in this module's kernel for the family (KL or alpha) gives M_f,
-warm-started from the previous outer iterate of the same solve.  Every
-evaluated F is a certified dual value; the tilt, its certificate and the dual
-point (lam = 0 on the boundary) are the worst case's at the final nu.  Every
-root runs _root, which returns (x, state, at): where it stopped, why, and the
-evaluation there.  _solve is that outer root on its own, with an optional
-start for nu and the first inner root, and no certificate; variance_bound
-validates, runs it cold and certifies the result.
+warm-started from the previous evaluation.  Every evaluated F is a certified
+dual value; the tilt, its certificate and the dual point (lam = 0 on the
+boundary) are the worst case's at the final nu.  Every root runs _root, which
+returns (x, state, at): where it stopped, why, and the evaluation there.
+_Evaluation is one evaluation of F on the atoms of P, with no certificate:
+variance_bound validates, runs the outer root on it and certifies the result,
+and robust_minimize's joint search in (x, nu) calls it once per point.
 
-Every evaluation of a solve writes its n-sized intermediates (the payoff u,
-the kernel's per-atom terms, the curvature's residuals) into one scratch
-block that _solve allocates once, so that at 10^5 atoms the evaluations do
-not map fresh pages each time.  What outlives an evaluation is a fresh
+Every evaluation writes its n-sized intermediates (the payoff u, the kernel's
+per-atom terms, the curvature's residuals) into one scratch block that
+_Evaluation allocates once, so that at 10^5 atoms the evaluations do not map
+fresh pages each time.  What outlives an evaluation is a fresh
 array: the worst-case weights WorstMean.q and every array of a BoundResult.
 
 parameterization="generic" keeps the outer loop and its boundary rule and
@@ -389,67 +389,43 @@ class BoundResult:
     iterations: int
 
 
-def _worst_mean_kernel(family: FDivergenceFamily, parameterization: str):
-    if parameterization not in ("auto", "generic"):
-        raise ValidationError(
-            f"parameterization must be 'auto' or 'generic', got {parameterization!r}"
-        )
-    if parameterization == "generic":
-        return _general_mean
-    return _kl_mean if family.kind == KL else _alpha_mean
+class _Evaluation:
+    """F(nu) = nu^2/4 + M_f(u), u = rho + phi*(phi - nu), on the atoms of p.
 
-
-def _solve(data, p, family, eta, cfg, worst_mean, start=None):
-    """The outer root in nu on validated inputs, with no certificate.
-
-    start = (nu0, z0) seeds the outer root at nu0 (clipped to the bracket) and
-    the kernel's first inner root at z0; None starts from 2*E_P[phi] and the
-    kernel's own guess.  Returns (value, nu, inner, state, steps): the dual
-    value, nu, the worst-case-mean solve behind it, the outer root's state and
-    the root steps taken, outer plus inner.
+    A call applies the boundary rule or else runs the kernel, warm-started
+    from the previous call's root, and returns (F, m, F''): m the
+    worst-case-mean solve behind F, and F'' = 1/2 + the curvature of M_f along
+    phi, or None where the kernel gives no curvature.  u and rows are its
+    scratch block.  The kernel's root steps count in budget, or without one
+    in a Budget(_MAX_STEPS) of the call's own.
     """
-    phi, w = data.phi, p.weights
-    budget = Budget(_MAX_STEPS)
-    inner_tol = _INNER_TOL_RATIO * cfg.grad_tol
-    lo, hi = 2.0 * float(phi.min()), 2.0 * float(phi.max())
-    scale = (hi - lo) / 2.0
-    nu0, z = (2.0 * float(np.dot(w, phi)), None) if start is None else start
-    best = None
-    u_row, *rows = np.empty((_SCRATCH_ROWS, len(w)))
 
-    def outer(nu):
-        nonlocal z, best
-        u = _payoff(data, nu, out=u_row)
-        top, v, span, on_top, pa = _split(u, w, rows[0])
-        if span == 0.0 or _top_divergence(family, pa) - eta <= inner_tol * eta:
-            m = WorstMean(top, np.where(on_top, w / pa, 0.0), 1.0, True, 0.0, top, z, None)
+    def __init__(self, p, family, eta, cfg, parameterization):
+        if parameterization not in ("auto", "generic"):
+            raise ValidationError(
+                f"parameterization must be 'auto' or 'generic', got {parameterization!r}"
+            )
+        self.worst_mean = (_general_mean if parameterization == "generic"
+                           else _kl_mean if family.kind == KL else _alpha_mean)
+        self.w, self.family, self.eta = p.weights, family, eta
+        self.tol = _INNER_TOL_RATIO * cfg.grad_tol
+        self.u, *self.rows = np.empty((_SCRATCH_ROWS, len(self.w)))
+        self.z = None
+
+    def __call__(self, data, nu, budget=None):
+        w, eta = self.w, self.eta
+        top, v, span, on_top, pa = _split(_payoff(data, nu, out=self.u), w, self.rows[0])
+        if span == 0.0 or _top_divergence(self.family, pa) - eta <= self.tol * eta:
+            m = WorstMean(top, np.where(on_top, w / pa, 0.0), 1.0, True, 0.0, top, self.z, None)
         else:
-            m = worst_mean(top, v, span, w, family, eta, inner_tol, budget, z, rows)
-        z = m.start
-        at = (nu * nu / 4.0 + m.value, nu, m)
-        if best is None or at[0] < best[0]:
-            best = at
-        g = nu / 2.0 - float(np.dot(m.q, phi))
-        if m.boundary:
-            return g, 0.5, at
-        if m.curv is None:
-            return g, None, at
+            m = self.worst_mean(top, v, span, w, self.family, eta, self.tol,
+                                budget or Budget(_MAX_STEPS), self.z, self.rows)
+        self.z = m.start
+        if m.boundary or m.curv is None:
+            return nu * nu / 4.0 + m.value, m, 0.5 if m.boundary else None
         weights, factor = m.curv
-        return g, 0.5 + factor * _curvature(weights, u, phi, rows), at
-
-    # near the float range the moments of u and phi overflow; _root's
-    # bisection and growth steps handle the inf and nan evaluations
-    with np.errstate(over="ignore", invalid="ignore"):
-        if lo == hi:
-            # phi is constant, so Var_Q[phi] = 0 and G vanishes at nu = 2*phi
-            state, last = ROOT, outer(lo)[2]
-        else:
-            nu0 = min(max(nu0, lo), hi)
-            _, state, last = _root(outer, nu0, lo, hi, cfg.grad_tol * scale, scale, budget)
-    # at a root the last point meets the criterion; otherwise keep the lowest
-    # certified value evaluated
-    value, nu, inner = last if state == ROOT else best
-    return value, nu, inner, state, budget.used
+        curv = _curvature(weights, self.u, data.phi, self.rows)
+        return nu * nu / 4.0 + m.value, m, 0.5 + factor * curv
 
 
 def _status(state: str, inner: WorstMean) -> str:
@@ -477,8 +453,32 @@ def variance_bound(
     cfg = config or SolverConfig()
     check_lengths(data, p)
     check_eta(eta, family)
-    worst_mean = _worst_mean_kernel(family, parameterization)
-    value, nu, inner, state, steps = _solve(data, p, family, eta, cfg, worst_mean)
+    evaluate = _Evaluation(p, family, eta, cfg, parameterization)
+    phi = data.phi
+    lo, hi = 2.0 * float(phi.min()), 2.0 * float(phi.max())
+    scale = (hi - lo) / 2.0
+    budget, best = Budget(_MAX_STEPS), None
+
+    def outer(nu):
+        nonlocal best
+        value, m, d2 = evaluate(data, nu, budget)
+        at = (value, nu, m)
+        if best is None or value < best[0]:
+            best = at
+        return nu / 2.0 - float(np.dot(m.q, phi)), d2, at
+
+    # near the float range the moments of u and phi overflow; _root's
+    # bisection and growth steps handle the inf and nan evaluations
+    with np.errstate(over="ignore", invalid="ignore"):
+        if lo == hi:
+            # phi is constant, so Var_Q[phi] = 0 and G vanishes at nu = 2*phi
+            state, last = ROOT, outer(lo)[2]
+        else:
+            _, state, last = _root(outer, 2.0 * float(np.dot(p.weights, phi)), lo, hi,
+                                   cfg.grad_tol * scale, scale, budget)
+    # at a root the last point meets the criterion; otherwise keep the lowest
+    # certified value evaluated
+    value, nu, inner = last if state == ROOT else best
     status = _status(state, inner)
     weights = inner.q * inner.mass
     return BoundResult(
@@ -488,7 +488,7 @@ def variance_bound(
         diagnostics=_certificate(weights, p, data.phi, nu, family,
                                  status == BOUNDARY_LAMBDA),
         status=status,
-        iterations=steps,
+        iterations=budget.used,
     )
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import drovar.robust as robust_mod
+import drovar.solver as solver_mod
 from drovar.divergences import alpha_family, kl_family
 from drovar.errors import ValidationError
 from drovar.measures import EmpiricalMeasure, mean_var_of, uniform_measure
@@ -166,17 +167,18 @@ def test_minimize_ends_in_one_certified_solve_whether_or_not_it_moves(
         monkeypatch, fam, d, constraint, moves):
     s = _drifting_returns(np.random.default_rng([11, d]), 25, d)
     calls = {"search": 0, "certified": 0}
-    solve, bound = robust_mod._solve, robust_mod.variance_bound
+    bound = robust_mod.variance_bound
 
-    def counted_solve(*args):
-        calls["search"] += 1
-        return solve(*args)
+    class CountedEvaluation(robust_mod._Evaluation):
+        def __call__(self, *args):
+            calls["search"] += 1
+            return super().__call__(*args)
 
     def counted_bound(*args, **kwargs):
         calls["certified"] += 1
         return bound(*args, **kwargs)
 
-    monkeypatch.setattr(robust_mod, "_solve", counted_solve)
+    monkeypatch.setattr(robust_mod, "_Evaluation", CountedEvaluation)
     monkeypatch.setattr(robust_mod, "variance_bound", counted_bound)
     x_star, val = robust_minimize(s, constraint, fam, 0.1)
     assert (calls["search"] > 1) == moves
@@ -258,3 +260,51 @@ def test_minimize_reaches_a_quasi_newton_reference(seed):
         method="L-BFGS-B", bounds=[(0.0, 1.0)] * d,
     )
     assert val <= ref.fun + 1e-8
+
+
+def test_the_search_does_its_work_in_few_root_steps(monkeypatch):
+    # the root steps of 18 searches and their certified solves, summed over
+    # every solver.Budget they make: a slower search fails the bound
+    budgets = []
+
+    class CountedBudget(solver_mod.Budget):
+        def __init__(self, limit):
+            super().__init__(limit)
+            budgets.append(self)
+
+    monkeypatch.setattr(solver_mod, "Budget", CountedBudget)
+    for d in (2, 4, 8):
+        s = _drifting_returns(np.random.default_rng([21, d]), 40, d)
+        for fam in (KL, alpha_family(2.0), alpha_family(0.5)):
+            for constraint in (Box(lo=np.zeros(d), hi=np.ones(d)), Simplex()):
+                robust_minimize(s, constraint, fam, 0.1)
+    assert sum(b.used for b in budgets) <= 1300
+
+
+def _sweep_instance(family, d, constraint):
+    # one instance of a sweep that draws _drifting_returns(rng, 40, d) from one
+    # rng 2121 stream for kl and alpha 0.1, 0.5, 2 and 8, d = 1-8, box then
+    # simplex, in that order
+    rng = np.random.default_rng(2121)
+    for fam in ("kl", "alpha:0.1", "alpha:0.5", "alpha:2", "alpha:8"):
+        for dim in range(1, 9):
+            for kind in ("box", "simplex"):
+                s = _drifting_returns(rng, 40, dim)
+                if (fam, dim, kind) == (family, d, constraint):
+                    return s
+    raise AssertionError("no such sweep instance")
+
+
+@pytest.mark.parametrize("d, constraint, reference", [
+    # beside the kink at x = 0: a short spectral step must not stop the search
+    (2, "box", 1.1244302306269811e-10),
+    # the 500-evaluation cap ends the search short of the minimum, -0.0448302516
+    (8, "simplex", -0.04482923157258465),
+], ids=["kink-box", "capped-simplex"])
+def test_the_search_ends_no_higher_than_the_nested_search_did(d, constraint, reference):
+    # reference: the value of the former search, which minimized over nu by a
+    # Newton root at every point, on the same instance
+    s = _sweep_instance("alpha:8", d, constraint)
+    c = Box(lo=np.zeros(d), hi=np.ones(d)) if constraint == "box" else Simplex()
+    _, val = robust_minimize(s, c, alpha_family(8.0), 0.1)
+    assert val <= reference + 1e-12 * (1.0 + abs(reference))

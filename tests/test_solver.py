@@ -37,10 +37,8 @@ from drovar.solver import (
     STALLED,
     Budget,
     SolverConfig,
+    _Evaluation,
     _root,
-    _solve,
-    _status,
-    _worst_mean_kernel,
     mean_bound,
     variance_bound,
 )
@@ -370,7 +368,7 @@ def test_root_stops_when_the_budget_is_spent():
 
 
 # ---------------------------------------------------------------------------
-# warm starts: the robust layer seeds _solve from the previous decision's solve
+# warm starts: each evaluation of F starts its kernel from the previous root
 
 
 def _warm_instance(n, kind, seed):
@@ -386,40 +384,30 @@ def _warm_instance(n, kind, seed):
     return data, EmpiricalMeasure(w / w.sum())
 
 
-# alpha:2 with a 1e-100 weight: on these instances the inner roots stall where
-# rho = 1 - a*exp(-z) cancels (ROADMAP item 2), and where a stalled root ends
-# depends on its start.  alpha:8 is left out for the same reason: its inner
-# roots stall near the bottom atom (CHANGES.md FOUND, ROADMAP item 2).
-_STALLED = pytest.mark.xfail(strict=True, reason="alpha:2 inner roots stall at a 1e-100 weight")
-
-
-@pytest.mark.parametrize("fam", [KL, A_TENTH, A_HALF, alpha_family(1.05), A2],
-                         ids=["kl", "alpha:0.1", "alpha:0.5", "alpha:1.05", "alpha:2"])
+@pytest.mark.parametrize("fam", [KL, A_TENTH, A_HALF, alpha_family(1.05), A2, A8],
+                         ids=["kl", "alpha:0.1", "alpha:0.5", "alpha:1.05", "alpha:2", "alpha:8"])
 @pytest.mark.parametrize("n", [2, 3, 10, 50])
 @pytest.mark.parametrize("kind", ["plain", "ties", "tiny"])
-def test_warm_start_matches_the_cold_solve(fam, n, kind, request):
-    if fam is A2 and kind == "tiny" and n == 2:
-        request.applymarker(_STALLED)
+def test_warm_start_matches_the_cold_solve(fam, n, kind):
+    # F at the cold solve's nu, from a fresh evaluation and from evaluations
+    # warm-started at a neighbour's root or at either end of the bracket
     seed = [n, ["plain", "ties", "tiny"].index(kind)]
     data, p = _warm_instance(n, kind, seed)
     eta = {2: 0.05, 3: 0.2, 10: 0.5, 50: 1.0}[n]
     cfg = SolverConfig()
-    kernel = _worst_mean_kernel(fam, "auto")
-    cold = variance_bound(data, p, fam, eta)
-    value, nu, inner, _, _ = _solve(data, p, fam, eta, cfg, kernel)
-    assert value == cold.value
+    nu = variance_bound(data, p, fam, eta).dual_point.nu
+    cold = _Evaluation(p, fam, eta, cfg, "auto")(data, nu)[0]
     # a neighbour: the same atoms with rho and phi moved by about 1e-3
     rng = np.random.default_rng([*seed, 1])
     near = ProblemData(rho=data.rho + 1e-3 * rng.standard_normal(n),
                        phi=data.phi + 1e-3 * rng.standard_normal(n))
-    near_run = _solve(near, p, fam, eta, cfg, kernel)
-    lo, hi = 2.0 * data.phi.min(), 2.0 * data.phi.max()
-    starts = [(nu, inner.start), (near_run[1], near_run[2].start),
-              (lo, inner.start), (hi, inner.start), (lo, None), (hi, None)]
+    starts = [(near, variance_bound(near, p, fam, eta).dual_point.nu),
+              (data, 2.0 * data.phi.min()), (data, 2.0 * data.phi.max())]
     for start in starts:
-        v, _, m, st, _ = _solve(data, p, fam, eta, cfg, kernel, start)
-        assert abs(v - cold.value) <= 1e-12 * (1.0 + abs(cold.value)), start
-        assert _status(st, m) == cold.status, start
+        evaluate = _Evaluation(p, fam, eta, cfg, "auto")
+        evaluate(*start)
+        warm = evaluate(data, nu)[0]
+        assert abs(warm - cold) <= 1e-12 * (1.0 + abs(cold)), start[1]
 
 
 # ---------------------------------------------------------------------------
@@ -450,6 +438,19 @@ def test_reduced_and_generic_parameterizations_agree(fam, tol):
         auto = variance_bound(data, p, fam, 0.2).value
         generic = variance_bound(data, p, fam, 0.2, parameterization="generic").value
         assert abs(auto - generic) <= tol
+
+
+@pytest.mark.parametrize("fam", [KL, A_TENTH, A_HALF, alpha_family(1.05), A2, A8],
+                         ids=["kl", "alpha:0.1", "alpha:0.5", "alpha:1.05", "alpha:2", "alpha:8"])
+def test_the_generic_dual_point_reproduces_its_bound(fam):
+    # J at the conjugate-only kernel's (lam, beta, nu) is the value it reports
+    rng = np.random.default_rng(13)
+    for _ in range(50):
+        data, p = random_instance(rng, int(rng.integers(2, 11)))
+        eta = float(rng.choice([0.05, 0.2, 0.5]))
+        res = variance_bound(data, p, fam, eta, parameterization="generic")
+        j = dual_objective_variance(res.dual_point, data, p, fam, eta)
+        assert abs(j - res.value) <= 1e-9 * (1.0 + abs(res.value))
 
 
 def test_translation_covariance_in_rho():
@@ -511,10 +512,11 @@ def test_no_solve_sees_another_solves_scratch(fam_a, fam_b):
     data_a, p_a = random_instance(rng, n)
     data_b, p_b = random_instance(rng, n)
     first = variance_bound(data_a, p_a, fam_a, 0.2)
-    _, _, inner, _, _ = _solve(data_a, p_a, fam_a, 0.2, cfg, _worst_mean_kernel(fam_a, "auto"))
+    evaluate = _Evaluation(p_a, fam_a, 0.2, cfg, "auto")
+    inner = evaluate(data_a, first.dual_point.nu)[1]
     tilt_bytes, q_bytes = first.tilt.weights.tobytes(), inner.q.tobytes()
     other = variance_bound(data_b, p_b, fam_b, 0.5)
-    _solve(data_b, p_b, fam_b, 0.5, cfg, _worst_mean_kernel(fam_b, "auto"))
+    _Evaluation(p_b, fam_b, 0.5, cfg, "auto")(data_b, other.dual_point.nu)
     assert first.tilt.weights.tobytes() == tilt_bytes
     assert inner.q.tobytes() == q_bytes
     again = variance_bound(data_a, p_a, fam_a, 0.2)
