@@ -228,7 +228,7 @@ def _moments(args: np.ndarray, phi: np.ndarray, p: EmpiricalMeasure,
     dv = conj_deriv(family, args)
     if np.isinf(fv).any() or np.isinf(dv).any():
         raise DerivativeUnavailable(
-            "conjugate argument outside dom f*; use the derivative-free path"
+            "J has no gradient here: a conjugate argument lies outside dom f*"
         )
     w = p.weights
     return (

@@ -6,7 +6,7 @@ class ValidationError(ValueError):
 
 
 class DerivativeUnavailable(RuntimeError):
-    """The objective is not finite and smooth at this point; use a derivative-free step."""
+    """J has no gradient here: a conjugate argument lies outside dom f*, or E_P[f*] overflows."""
 
 
 class UnsupportedSizeError(ValueError):

@@ -188,7 +188,6 @@ def _ends(family, pa, pb, R, base, eta):
     divergence's scale.  A chord step then moves b to within about tol of
     the root; b is the end kept, so every end is feasible as evaluated.
     """
-    R = np.asarray(R, dtype=float)
     base = np.broadcast_to(base, R.shape)
     star = R * (pa / (pa + pb))
     # lower ends first, then upper ends

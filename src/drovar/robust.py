@@ -8,8 +8,8 @@ F(x, nu) = nu^2/4 + M_f(-<x,r> + <x,r>(<x,r> - nu)), jointly convex in (x, nu),
 and the minimizer is a deterministic projected gradient method over (x, nu)
 on its Danskin gradient, spectral (Birgin, Martinez & Raydan 2000) in x and
 Newton in nu: one shared evaluation of F per point, with no certificate.
-One cold, certified solve at the returned decision gives the value it
-reports.
+A one-point set runs the same search, which then moves only nu.  One cold,
+certified solve at the returned decision gives the value it reports.
 """
 
 from __future__ import annotations
@@ -163,9 +163,9 @@ def robust_minimize(
     Deterministic: fixed start (box center or simplex barycenter); stops when
     the Newton step in nu and the projected gradient step in x, at the
     spectral length and at unit length, fall to 1e-9 in sup-norm, when the
-    line-search step does, or after 500 evaluations.  One cold, certified solve at the returned x, the
-    only solve where the set is one point, gives the value, so it equals
-    robust_objective(x) exactly.  Returns (x, worst-case value at x).
+    line-search step does, or after 500 evaluations; on a one-point set it
+    settles only nu.  One cold, certified solve at the returned x gives the
+    value, so it equals robust_objective(x) exactly.  Returns (x, value).
     """
     x, res = _minimize(scenarios, constraint, family, eta, config)
     return x, res.value
@@ -183,17 +183,14 @@ def _minimize(scenarios, constraint, family, eta, config) -> tuple[np.ndarray, B
 
     def evaluate(x, nu):
         data = scenarios.problem_for(x)
-        xr = data.phi
-        value, m, d2 = evaluation(data, nu)
-        g, gnu = (m.q * (2.0 * xr - nu - 1.0)) @ rows, nu / 2.0 - float(m.q @ xr)
+        value, m, d2, gnu = evaluation(data, nu)
+        g = (m.q * (2.0 * data.phi - nu - 1.0)) @ rows
         if not (np.isfinite(g).all() and np.isfinite(gnu)):
             raise ValidationError("the gradient of the robust objective overflows the float range")
         return value, g, gnu, d2
 
-    # x + (1, ..., d) projects back onto x only where the set is one point
-    if not np.array_equal(constraint.project(x + np.arange(1.0, x.size + 1.0)), x):
-        with np.errstate(over="ignore", invalid="ignore"):
-            x = _spg(x, 2.0 * float(w @ (rows @ x)), evaluate, constraint.project)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = _spg(x, 2.0 * float(w @ (rows @ x)), evaluate, constraint.project)
     return x, robust_bound(x, scenarios, family, eta, config)
 
 

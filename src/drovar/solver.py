@@ -62,22 +62,14 @@ from .divergences import (
     conj_eval,
 )
 from .dual_core import Diagnostics, DualPoint, TiltResult, _certificate, _payoff
-# perfbench/spans.py wraps these names in this module to time the dual-core
-# layer; the nested solve does not call them.
-from .dual_core import (  # noqa: F401
-    alpha_reduced_objective,
-    dual_objective_variance,
-    kl_optimal_beta,
-    kl_reduced_objective,
-    optimality_diagnostics,
-    tilt,
-)
 from .errors import ValidationError
 from .measures import EmpiricalMeasure, ProblemData, check_lengths
 
-# perfbench/spans.py also wraps these names, the gradient kernels of a removed
-# 3-d descent; nothing calls them.  They and the import block above go when the
-# spans stop naming them (ROADMAP item 3).
+# perfbench/spans.py wraps these names in this module to time the dual-core
+# layer, but the nested solve calls none of them; they go when the spans stop
+# naming them (ROADMAP item 3).
+alpha_reduced_objective = dual_objective_variance = kl_optimal_beta = None
+kl_reduced_objective = optimality_diagnostics = tilt = None
 kl_reduced_gradient = alpha_reduced_gradient = alpha_inner_lambda = _capped_gradient = None
 
 CONVERGED = "Converged"
@@ -393,9 +385,10 @@ class _Evaluation:
     """F(nu) = nu^2/4 + M_f(u), u = rho + phi*(phi - nu), on the atoms of p.
 
     A call applies the boundary rule or else runs the kernel, warm-started
-    from the previous call's root, and returns (F, m, F''): m the
-    worst-case-mean solve behind F, and F'' = 1/2 + the curvature of M_f along
-    phi, or None where the kernel gives no curvature.  u and rows are its
+    from the previous call's root, and returns (F, m, F'', G): m the
+    worst-case-mean solve behind F, F'' = 1/2 + the curvature of M_f along
+    phi, or None where the kernel gives no curvature, and by Danskin's
+    theorem G = dF/dnu = nu/2 - E_Q[phi], Q = m.q.  u and rows are its
     scratch block.  The kernel's root steps count in budget, or without one
     in a Budget(_MAX_STEPS) of the call's own.
     """
@@ -421,11 +414,11 @@ class _Evaluation:
             m = self.worst_mean(top, v, span, w, self.family, eta, self.tol,
                                 budget or Budget(_MAX_STEPS), self.z, self.rows)
         self.z = m.start
+        value, grad = nu * nu / 4.0 + m.value, nu / 2.0 - float(np.dot(m.q, data.phi))
         if m.boundary or m.curv is None:
-            return nu * nu / 4.0 + m.value, m, 0.5 if m.boundary else None
+            return value, m, 0.5 if m.boundary else None, grad
         weights, factor = m.curv
-        curv = _curvature(weights, self.u, data.phi, self.rows)
-        return nu * nu / 4.0 + m.value, m, 0.5 + factor * curv
+        return value, m, 0.5 + factor * _curvature(weights, self.u, data.phi, self.rows), grad
 
 
 def _status(state: str, inner: WorstMean) -> str:
@@ -461,11 +454,11 @@ def variance_bound(
 
     def outer(nu):
         nonlocal best
-        value, m, d2 = evaluate(data, nu, budget)
+        value, m, d2, grad = evaluate(data, nu, budget)
         at = (value, nu, m)
         if best is None or value < best[0]:
             best = at
-        return nu / 2.0 - float(np.dot(m.q, phi)), d2, at
+        return grad, d2, at
 
     # near the float range the moments of u and phi overflow; _root's
     # bisection and growth steps handle the inf and nan evaluations

@@ -181,7 +181,10 @@ def test_minimize_ends_in_one_certified_solve_whether_or_not_it_moves(
     monkeypatch.setattr(robust_mod, "_Evaluation", CountedEvaluation)
     monkeypatch.setattr(robust_mod, "variance_bound", counted_bound)
     x_star, val = robust_minimize(s, constraint, fam, 0.1)
-    assert (calls["search"] > 1) == moves
+    # the search runs on every set; on a one-point set it settles only nu
+    assert calls["search"] > 1
+    if not moves:
+        np.testing.assert_array_equal(x_star, constraint.start(d))
     # one final cold solve gives the value, whether or not the search moved
     assert calls["certified"] == 1
     monkeypatch.undo()
