@@ -1,13 +1,13 @@
 """Timing and work counts for the robust outer solve, single bound solves,
-the duality sweep and the CLI's cold start.
+the duality sweep, the CLI's cold start and a CLI sweep at 10^4 rows.
 
 Uses only drovar's public API, so the same script measures any revision:
 put that revision's src/ on PYTHONPATH and give the run a label.  Each run
 writes its section into the JSON file under that label and keeps the
 sections of other labels, so two revisions land side by side in one file.
 
-    PYTHONPATH=<old>/src python scripts/bench.py --label parent --out BENCH_21.json
-    PYTHONPATH=src python scripts/bench.py --label change --out BENCH_21.json
+    PYTHONPATH=<old>/src python scripts/bench.py --label parent --out BENCH_25.json
+    PYTHONPATH=src python scripts/bench.py --label change --out BENCH_25.json
 
 Recorded per label:
 
@@ -35,7 +35,13 @@ Recorded per label:
 - cli: the median wall time in ms, over 4 x repeats fresh processes each, of
   `python -c "import drovar.cli"` and of one `python -m drovar
   bound-variance` on a 3-row CSV.  The processes inherit PYTHONPATH, so
-  they run the same revision.
+  they run the same revision;
+- cli_sweep: the median wall time in ms, over 4 x repeats fresh processes,
+  of a 20-step KL `python -m drovar sweep` (eta 0.05 to 0.5) on a 10^4-row
+  CSV of rho, phi ~ U(-1, 1) and weights ~ U(0.1, 1), as in perfbench's
+  cli_sweep workload; beside it, the in-process split of the same command
+  into its CSV ingest, its 20 solves and its JSON render, each the median
+  over 4 x repeats in-process runs.
 
 BLAS is held at one thread unless the environment sets otherwise, so the
 numbers measure the code, not the host's core count.
@@ -60,6 +66,7 @@ from pathlib import Path
 
 import numpy as np
 
+import drovar.cli as cli
 import drovar.robust as robust
 import drovar.solver as solver
 from drovar import (
@@ -89,6 +96,8 @@ SOLVE_FAMILIES = ("kl", "alpha:2", "alpha:0.5", "alpha:0.1", "alpha:8")
 SOLVE_SIZES = (10, 1_000, 100_000)
 CERTIFY_SIZE = 100_000
 SWEEP_FAMILIES = ("kl", "alpha:2", "alpha:0.5")
+CLI_SWEEP_ROWS = 10_000
+CLI_SWEEP_GRID = ("0.05", "0.5", "20")  # --eta-min, --eta-max, --steps
 
 
 def drifting_box(seed: int, m: int = 40, d: int = 8) -> ScenarioMatrix:
@@ -235,6 +244,39 @@ def bench_cli(repeats: int) -> dict:
     return out
 
 
+def bench_cli_sweep(repeats: int) -> dict:
+    rng = np.random.default_rng(CLI_SWEEP_ROWS)
+    rho, phi = rng.uniform(-1.0, 1.0, (2, CLI_SWEEP_ROWS))
+    w = rng.uniform(0.1, 1.0, CLI_SWEEP_ROWS)
+    lo, hi, steps = CLI_SWEEP_GRID
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "sweep.csv"
+        path.write_text("rho,phi,weight\n" + "".join(
+            f"{a!r},{b!r},{c!r}\n" for a, b, c in zip(rho.tolist(), phi.tolist(),
+                                                     (w / w.sum()).tolist())))
+        run = partial(subprocess.run, [sys.executable, "-m", "drovar", "sweep",
+                                       "--input", str(path), "--divergence", "kl",
+                                       "--eta-min", lo, "--eta-max", hi, "--steps", steps],
+                      check=True, capture_output=True)
+        run()  # warm-up: file cache and .pyc files
+        out = {"process_ms": round(median_ms(run, 4 * repeats), 3)}
+
+        split = {"ingest_ms": [], "solves_ms": [], "render_ms": []}
+        for _ in range(4 * repeats):
+            t0 = time.perf_counter()
+            data, p = cli.ingest_bound_csv(str(path))
+            t1 = time.perf_counter()
+            records = [cli.bound_record(variance_bound(data, p, KL, float(eta)), float(eta), KL)
+                       for eta in np.linspace(float(lo), float(hi), int(steps))]
+            t2 = time.perf_counter()
+            cli.render_json(records)
+            t3 = time.perf_counter()
+            for key, dt in zip(split, (t1 - t0, t2 - t1, t3 - t2)):
+                split[key].append(dt)
+    out.update({key: round(statistics.median(v) * 1e3, 3) for key, v in split.items()})
+    return out
+
+
 def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--label", required=True, help="section name, e.g. parent or change")
@@ -255,6 +297,7 @@ def main() -> None:
         "certify_ms": certify_ms,
         "sweep": bench_sweep(),
         "cli": bench_cli(args.repeats),
+        "cli_sweep": bench_cli_sweep(args.repeats),
     }
     path = Path(args.out)
     doc = json.loads(path.read_text()) if path.exists() else {}
@@ -271,6 +314,7 @@ def main() -> None:
     print(f"sweep dual {sweep['dual_s']} s, oracle {sweep['oracle_s']} s, "
           f"worst gap {sweep['worst_gap']:.2e}")
     print(f"cli {section['cli']} ms")
+    print(f"cli_sweep {section['cli_sweep']} ms")
 
 
 if __name__ == "__main__":

@@ -1,11 +1,15 @@
-"""One line per `drovar` run: its arguments, exit code and the sha256 of stdout.
+"""One line per `drovar` run: its arguments, exit code and the sha256 of
+stdout and of stderr.
 
 Writes seeded CSVs to a temporary directory and runs a fixed matrix of
 `python -m drovar` commands there: bound-variance, bound-mean, sweep,
 oracle-check and robust over kl, alpha:2, alpha:0.5, alpha:0.1 and alpha:8,
 at n = 2, 3, 10 and 200 atoms with and without ties, plus --tol, box,
-simplex and error cases, and bound-variance on the n = 3 atoms jointly scaled
-to (1e-14*rho, 1e-7*phi).  The runs use whatever src/ is on PYTHONPATH, so two
+simplex and error cases, bound-variance on the n = 3 atoms jointly scaled
+to (1e-14*rho, 1e-7*phi), CSVs with blank rows, short rows, extra fields,
+padded cells and a byte-order mark before a padded header, and a 10-step
+sweep on 2,000 rows with ties and a zero weight (1,999 tilt weights per
+record).  The runs use whatever src/ is on PYTHONPATH, so two
 revisions compare by a diff of their outputs:
 
     PYTHONPATH=<old>/src python scripts/cli_digest.py > old.txt
@@ -63,9 +67,20 @@ def write_inputs(tmp: Path) -> list[str]:
         "non_numeric.csv": "rho,phi\n0,oops\n0,1\n",
         "overflow.csv": "rho,phi\n0,2e154\n0,-2e154\n0,1\n",
         "overflow_scen.csv": "r1,r2\n2e154,1\n-2e154,3\n1e154,-2\n",
+        "blank_row.csv": "rho,phi\n0,0\n\n0,1\n",
+        "short_row.csv": "rho,phi\n0,0\n\n0\n",
+        "extra_field.csv": "rho,phi\n0,0,7\n0,1,\n",
+        "padded_cell.csv": "rho,phi\n0,0\n0, 1.5 \n",
+        "bom_padded.csv": "\ufeff rho , phi \n0,0\n0,1\n",
+        "non_numeric_row3.csv": "rho,phi,weight\n0,0,1\n1,1,1\n0.5,0.2,1e\n",
     }
     for name, text in texts.items():
-        (tmp / name).write_text(text)
+        (tmp / name).write_text(text, encoding="utf-8")
+    n = 2000
+    rho, phi = np.round(4.0 * rng.normal(size=(2, n))) / 4.0
+    weight = rng.uniform(0.5, 2.0, n)
+    weight[n // 2] = 0.0
+    _write(tmp / "n2000_ties.csv", ["rho", "phi", "weight"], [rho, phi, weight])
     return names
 
 
@@ -101,7 +116,9 @@ def matrix(bound_csvs: list[str]) -> list[list[str]]:
          "--eta", "0.1", "--box", "0", "1"],
     ]
     for name in ("empty.csv", "header_only.csv", "no_phi.csv", "empty_cell.csv",
-                 "non_numeric.csv", "missing.csv"):
+                 "non_numeric.csv", "missing.csv", "blank_row.csv", "short_row.csv",
+                 "extra_field.csv", "padded_cell.csv", "bom_padded.csv",
+                 "non_numeric_row3.csv"):
         runs.append(["bound-variance", "--input", name, *bad])
     for fam in ("kl", "alpha:2", "alpha:0.5"):
         runs.append(["bound-variance", "--input", "overflow.csv", "--divergence", fam,
@@ -109,6 +126,8 @@ def matrix(bound_csvs: list[str]) -> list[list[str]]:
     for fam in FAMILIES:
         runs.append(["bound-variance", "--input", "n3_scaled.csv", "--divergence", fam,
                      "--eta", "0.1"])
+    runs.append(["sweep", "--input", "n2000_ties.csv", "--divergence", "kl",
+                 "--eta-min", "0.05", "--eta-max", "0.5", "--steps", "10"])
     return runs
 
 
@@ -122,9 +141,10 @@ def main() -> None:
 
         def digest(argv: list[str]) -> str:
             out = subprocess.run([sys.executable, "-m", "drovar", *argv], cwd=tmp, env=env,
-                                 stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
+                                 capture_output=True)
             return (f"{' '.join(argv)}  exit={out.returncode}  "
-                    f"sha256={hashlib.sha256(out.stdout).hexdigest()}")
+                    f"sha256={hashlib.sha256(out.stdout).hexdigest()}  "
+                    f"stderr={hashlib.sha256(out.stderr).hexdigest()}")
 
         with ThreadPoolExecutor(JOBS) as pool:
             for line in pool.map(digest, runs):

@@ -66,6 +66,13 @@ def _json(value, pad: str) -> str:
     if isinstance(value, dict):
         items = [f"{inner}{json.dumps(k)}: {_json(v, inner)}" for k, v in value.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}" if items else "{}"
+    if (type(value) is list and value and all(type(v) is float for v in value)
+            and math.isfinite(sum(value))):
+        # finite floats, the common bulk: one format over the whole list,
+        # with + 0.0 normalizing -0.0 as _fmt_float does
+        sep = ",\n" + inner
+        return (f"[\n{inner}" + sep.join(["%.12g"] * len(value)) + f"\n{pad}]") % tuple(
+            [v + 0.0 for v in value])
     # any other iterable is a list; a value that is not one raises TypeError
     items = [inner + _json(v, inner) for v in value]
     return "[\n" + ",\n".join(items) + f"\n{pad}]" if items else "[]"
@@ -101,19 +108,20 @@ def bound_record(res, eta: float, family) -> dict:
 # CSV ingestion
 
 
-def _read_rows(path: str) -> tuple[list[str], list[dict]]:
-    """The stripped header names and the data rows, keyed by those names."""
+def _read_rows(path: str) -> tuple[list[str], list[list[str]]]:
+    """The stripped header names and the data rows, blank rows skipped."""
     try:
         # utf-8-sig drops the byte-order mark that spreadsheets write
         with open(path, newline="", encoding="utf-8-sig") as fh:
-            reader = csv.DictReader(fh)
-            if reader.fieldnames is None:
+            reader = csv.reader(fh)
+            header = next(reader, None)
+            if header is None:
                 raise ValidationError(f"input file {path!r} is empty")
-            reader.fieldnames = names = [n.strip() for n in reader.fieldnames]
+            names = [n.strip() for n in header]
             twice = sorted({n for n in names if n and names.count(n) > 1})
             if twice:
                 raise ValidationError(f"duplicate column names {twice} in {path!r}")
-            rows = list(reader)
+            rows = [row for row in reader if row]
     except (OSError, UnicodeDecodeError) as exc:
         raise ValidationError(f"cannot read input file {path!r}: {exc}") from exc
     if not rows:
@@ -121,13 +129,18 @@ def _read_rows(path: str) -> tuple[list[str], list[dict]]:
     return names, rows
 
 
-def _column(rows: list[dict], names: list[str], want: str) -> np.ndarray:
+def _column(rows: list[list[str]], names: list[str], want: str) -> np.ndarray:
     if want not in names:
         raise ValidationError(f"missing required column {want!r}")
+    j = names.index(want)
+    try:  # every cell present and numeric: one pass over the column
+        return np.array([float(row[j]) for row in rows])
+    except (IndexError, ValueError):
+        pass  # the loop below names the first bad cell
     vals = []
     for i, row in enumerate(rows, start=1):
-        cell = row.get(want)
-        if cell is None or cell.strip() == "":
+        cell = row[j] if j < len(row) else ""
+        if cell.strip() == "":
             raise ValidationError(f"missing value at data row {i}, column {want!r}")
         try:
             vals.append(float(cell))

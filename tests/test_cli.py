@@ -1,6 +1,7 @@
 """CLI contract: CSV in, deterministic JSON out, documented exit codes."""
 
 import json
+import math
 import subprocess
 import sys
 
@@ -277,6 +278,36 @@ def test_non_numeric_cell_names_row_and_column(tmp_path):
     assert b"missing value at data row 1, column 'phi'" in out.stderr
 
 
+_PLAIN = "rho,phi\n0,0\n0,1\n"
+
+
+@pytest.mark.parametrize(
+    "text, same_as, error",
+    [("rho,phi\n0,0\n\n0,1\n", _PLAIN, None),
+     # the skipped blank row is not counted, so the short row is data row 2
+     ("rho,phi\n0,0\n\n0\n", None, "missing value at data row 2, column 'phi'"),
+     ("rho,phi\n0,0,7\n0,1,\n", _PLAIN, None),
+     ("rho,phi\n0,0\n0, 1.5 \n", "rho,phi\n0,0\n0,1.5\n", None),
+     ("\ufeff rho , phi \n0,0\n0,1\n", _PLAIN, None)],
+    ids=["blank-row", "short-row", "extra-field", "spaced-cell", "bom-spaced-header"],
+)
+def test_ingest_reads_the_cells_the_header_names(tmp_path, capsys, text, same_as, error):
+    def run(name, body):
+        path = tmp_path / name
+        path.write_text(body, encoding="utf-8")
+        code = cli.main(["bound-variance", "--input", str(path),
+                         "--divergence", "kl", "--eta", "0.1"])
+        return code, capsys.readouterr()
+
+    code, out = run("input.csv", text)
+    if error is not None:
+        assert (code, out.out, out.err) == (2, "", f"error: {error}\n")
+        return
+    ref_code, ref = run("reference.csv", same_as)
+    assert (code, out.err) == (ref_code, ref.err) == (0, "")
+    assert out.out == ref.out
+
+
 def test_empty_file_is_rejected(tmp_path):
     bad = tmp_path / "empty.csv"
     for text, message in (("", b"is empty"), ("rho,phi\n", b"has no data rows")):
@@ -447,3 +478,45 @@ def test_render_json_rejects_nan():
         cli.render_json(float("nan"))
     with pytest.raises(ValueError):
         cli.render_json({"bound": [1.0, float("nan")]})
+
+
+def _per_item(values, pad=""):
+    """The per-item rendering of a list: _fmt_float for each float."""
+    def one(x):
+        if isinstance(x, bool):
+            return "true" if x else "false"
+        if isinstance(x, int):
+            return str(x)
+        return cli._fmt_float(x)
+
+    inner = pad + "  "
+    return "[\n" + ",\n".join(inner + one(x) for x in values) + f"\n{pad}]"
+
+
+def test_float_lists_render_as_the_per_item_path():
+    rng = np.random.default_rng(25)
+    signs = rng.choice([-1.0, 1.0], 1000)
+    # magnitudes 5e-324 to 1e308; the random ones stop at 1e305, so the sum
+    # stays finite and the list takes the bulk path
+    wide = [5e-324, -5e-324, 1e308, -1e308, 2.2250738585072014e-308, 0.1, -1.0,
+            123456789012345.0, 1e16, 1 / 3]
+    wide += (signs * 10.0 ** rng.uniform(-323.3, 305.0, 1000)).tolist()
+    zeros = rng.uniform(-1.0, 1.0, 50).tolist()
+    zeros[3], zeros[17], zeros[-1] = -0.0, 0.0, -0.0
+    assert math.isfinite(sum(wide)) and math.isfinite(sum(zeros))
+    lists = {
+        "wide": wide,
+        "zeros": zeros,
+        "one": [-0.0],
+        "sum_overflows": [1e308, 1e308],
+        "inf": [1.0, float("inf"), -float("inf")],
+        "int": [0.5, 3, -2.25],
+        "bool": [0.5, True, -2.25],
+        "float64": [0.5, np.float64(-0.1), 1e-300],
+    }
+    for name, values in lists.items():
+        assert cli.render_json(values) == _per_item(values), name
+        assert cli.render_json({"w": values}) == '{\n  "w": ' + _per_item(values, "  ") + "\n}"
+    # the NaN check is not lost in a long list
+    with pytest.raises(ValueError):
+        cli.render_json(rng.uniform(-1.0, 1.0, 10_000).tolist() + [float("nan")])

@@ -470,16 +470,23 @@ def _solve_digest():
 
 def test_the_digest_slice_takes_few_root_steps():
     # values do not see a slower root: a doubled curvature or a cold first z
-    # still converges, in 48,553 or 35,656 steps here.  The solver takes
-    # 34,196 over 697 solves; the bound leaves 2%
-    digest, steps = _solve_digest(), 0
+    # still converges, in 48,553 or 35,656 "auto" steps here, and a flipped
+    # sign in _alpha_mean's first z in 34,886.  "auto" takes 34,196 over 697
+    # solves, "generic" (the instances with n <= GENERIC_MAX_N) 333,503 over
+    # 502, where a cold or recomputed start of _general_mean takes 521,495 or
+    # 508,230; the bounds leave about 1% and 2%
+    digest, steps = _solve_digest(), {"auto": 0, "generic": 0}
     for _, data, p, eta in itertools.islice(digest.instances(), 100):
+        kinds = ("auto", "generic") if len(p.weights) <= digest.GENERIC_MAX_N else ("auto",)
         for fam in digest.FAMILIES:
-            try:
-                steps += variance_bound(data, p, fam, eta, parameterization="auto").iterations
-            except ValidationError:
-                pass
-    assert steps <= 34900
+            for kind in kinds:
+                try:
+                    steps[kind] += variance_bound(data, p, fam, eta,
+                                                  parameterization=kind).iterations
+                except ValidationError:
+                    pass
+    assert steps["auto"] <= 34500
+    assert steps["generic"] <= 340000
 
 
 @pytest.mark.xfail(strict=True, reason="alpha:8 zero tilt, 2.1e-4 loose (ROADMAP item 2)")
