@@ -9,8 +9,10 @@ simplex and error cases, bound-variance on the n = 3 atoms jointly scaled
 to (1e-14*rho, 1e-7*phi), CSVs with blank rows, short rows, extra fields,
 padded cells and a byte-order mark before a padded header, and a 10-step
 sweep on 2,000 rows with ties and a zero weight (1,999 tilt weights per
-record).  The runs use whatever src/ is on PYTHONPATH, so two
-revisions compare by a diff of their outputs:
+record); last, bound-mean on a CSV without a phi column and on one with a
+non-numeric phi cell, and robust --simplex on returns near 1e9.  The runs
+use whatever src/ is on PYTHONPATH, so two revisions compare by a diff of
+their outputs:
 
     PYTHONPATH=<old>/src python scripts/cli_digest.py > old.txt
     PYTHONPATH=src python scripts/cli_digest.py > new.txt
@@ -73,6 +75,8 @@ def write_inputs(tmp: Path) -> list[str]:
         "padded_cell.csv": "rho,phi\n0,0\n0, 1.5 \n",
         "bom_padded.csv": "\ufeff rho , phi \n0,0\n0,1\n",
         "non_numeric_row3.csv": "rho,phi,weight\n0,0,1\n1,1,1\n0.5,0.2,1e\n",
+        "rho_only.csv": "rho,weight\n0.5,1\n-1,2\n2,0\n1.5,1\n",
+        "scen_1e9.csv": "r1,r2\n1e9,-2e9\n5e8,3e9\n-1e9,1e9\n",
     }
     for name, text in texts.items():
         (tmp / name).write_text(text, encoding="utf-8")
@@ -128,6 +132,10 @@ def matrix(bound_csvs: list[str]) -> list[list[str]]:
                      "--eta", "0.1"])
     runs.append(["sweep", "--input", "n2000_ties.csv", "--divergence", "kl",
                  "--eta-min", "0.05", "--eta-max", "0.5", "--steps", "10"])
+    for name in ("rho_only.csv", "non_numeric.csv"):
+        runs.append(["bound-mean", "--input", name, "--divergence", "kl", "--eta", "0.2"])
+    runs.append(["robust", "--input", "scen_1e9.csv", "--divergence", "kl", "--eta", "0.1",
+                 "--simplex"])
     return runs
 
 

@@ -9,7 +9,8 @@ Subcommands:
     robust          projected-gradient minimization over decisions (box or simplex)
 
 Input is UTF-8 CSV, a leading byte-order mark allowed: columns rho, phi and
-optional weight for the bound subcommands, r1..rd and optional weight for robust.
+optional weight for the bound subcommands (bound-mean reads only rho), r1..rd
+and optional weight for robust.
 Zero weights drop the atom.  Output is JSON on stdout with floats at 12
 significant digits; repeated runs on identical inputs are byte-identical.
 Exit codes: 0 success, 1 stdout closed early, 2 bad input/config, 3 oracle
@@ -151,22 +152,21 @@ def _column(rows: list[list[str]], names: list[str], want: str) -> np.ndarray:
     return np.array(vals)
 
 
-def _weights_for(rows, names) -> tuple[EmpiricalMeasure, np.ndarray]:
-    """The normalized measure and the mask of the rows it keeps (weight > 0)."""
+def _columns(names, rows, wanted) -> tuple[np.ndarray, EmpiricalMeasure]:
+    """The wanted columns as an n x k array without the rows of weight 0, and
+    the normalized measure (uniform when there is no weight column)."""
+    cols = np.column_stack([_column(rows, names, want) for want in wanted])
     if "weight" not in names:
-        return uniform_measure(len(rows)), np.ones(len(rows), dtype=bool)
+        return cols, uniform_measure(len(rows))
     raw = _column(rows, names, "weight")
     p, _ = normalize(raw)
-    return p, raw > 0.0
+    return cols[raw > 0.0], p
 
 
 def ingest_bound_csv(path: str) -> tuple[ProblemData, EmpiricalMeasure]:
     """Read rho, phi, and optional weight; zero-weight atoms are dropped."""
-    names, rows = _read_rows(path)
-    rho = _column(rows, names, "rho")
-    phi = _column(rows, names, "phi")
-    p, keep = _weights_for(rows, names)
-    return ProblemData(rho=rho[keep], phi=phi[keep]), p
+    cols, p = _columns(*_read_rows(path), ("rho", "phi"))
+    return ProblemData(rho=cols[:, 0], phi=cols[:, 1]), p
 
 
 def ingest_scenario_csv(path: str) -> ScenarioMatrix:
@@ -176,45 +176,36 @@ def ingest_scenario_csv(path: str) -> ScenarioMatrix:
                if len(name) > 1 and name[0] == "r" and name[1:].isdigit()), default=0)
     if dim < 1:
         raise ValidationError("missing required columns r1..rd")
-    matrix = np.column_stack([_column(rows, names, f"r{k}") for k in range(1, dim + 1)])
-    p, keep = _weights_for(rows, names)
-    return ScenarioMatrix(rows=matrix[keep], weights=p)
+    matrix, p = _columns(names, rows, [f"r{k}" for k in range(1, dim + 1)])
+    return ScenarioMatrix(rows=matrix, weights=p)
 
 
 # ---------------------------------------------------------------------------
-# Subcommands
+# Subcommands: each returns (record, exit code), and main renders the record
 
 
-def _solver_config(args) -> SolverConfig:
-    if args.tol is not None:
-        return SolverConfig(grad_tol=args.tol)
-    return SolverConfig()
+def _cmd_bound_mean(args) -> tuple[dict, int]:
+    cols, p = _columns(*_read_rows(args.input), ("rho",))
+    family = parse_family(args.divergence)
+    res = mean_bound(cols[:, 0], p, family, args.eta, config=SolverConfig(grad_tol=args.tol))
+    return bound_record(res, args.eta, family), 0
 
 
-def _cmd_bound_mean(args) -> int:
+def _cmd_bound_variance(args) -> tuple[dict, int]:
     data, p = ingest_bound_csv(args.input)
     family = parse_family(args.divergence)
-    res = mean_bound(data.rho, p, family, args.eta, config=_solver_config(args))
-    print(render_json(bound_record(res, args.eta, family)))
-    return 0
+    res = variance_bound(data, p, family, args.eta, config=SolverConfig(grad_tol=args.tol))
+    return bound_record(res, args.eta, family), 0
 
 
-def _cmd_bound_variance(args) -> int:
-    data, p = ingest_bound_csv(args.input)
-    family = parse_family(args.divergence)
-    res = variance_bound(data, p, family, args.eta, config=_solver_config(args))
-    print(render_json(bound_record(res, args.eta, family)))
-    return 0
-
-
-def _cmd_sweep(args) -> int:
+def _cmd_sweep(args) -> tuple[list, int]:
     if args.steps < 2:
         raise ValidationError(f"--steps must be at least 2, got {args.steps}")
     if not args.eta_min < args.eta_max:
         raise ValidationError("--eta-min must be strictly below --eta-max")
     data, p = ingest_bound_csv(args.input)
     family = parse_family(args.divergence)
-    cfg = _solver_config(args)
+    cfg = SolverConfig(grad_tol=args.tol)
     # both ends are checked before the curve file is opened and before any
     # solve, so a bad radius leaves an existing curve file intact
     check_eta(args.eta_min, family)
@@ -229,18 +220,16 @@ def _cmd_sweep(args) -> int:
         for eta in etas:
             res = variance_bound(data, p, family, float(eta), config=cfg)
             records.append(bound_record(res, float(eta), family))
-        print(render_json(records))
         if curve is not None:
             curve.write("eta,bound\n")
             for rec in records:
                 curve.write(f"{_fmt_float(rec['eta'])},{_fmt_float(rec['bound'])}\n")
-    return 0
+    return records, 0
 
 
-def _cmd_oracle_check(args) -> int:
-    tol = args.tol if args.tol is not None else _ORACLE_GAP_TOL
-    if not tol > 0.0:
-        raise ValidationError(f"--tol must be positive, got {tol!r}")
+def _cmd_oracle_check(args) -> tuple[dict, int]:
+    if not args.tol > 0.0:
+        raise ValidationError(f"--tol must be positive, got {args.tol!r}")
     data, p = ingest_bound_csv(args.input)
     family = parse_family(args.divergence)
     res = variance_bound(data, p, family, args.eta)
@@ -250,14 +239,13 @@ def _cmd_oracle_check(args) -> int:
     record = bound_record(res, args.eta, family)
     record["oracle_value"] = oracle_value
     record["gap"] = gap
-    print(render_json(record))
-    return 0 if abs(gap) <= tol else 3
+    return record, 0 if abs(gap) <= args.tol else 3
 
 
-def _cmd_robust(args) -> int:
+def _cmd_robust(args) -> tuple[dict, int]:
     scenarios = ingest_scenario_csv(args.input)
     family = parse_family(args.divergence)
-    cfg = _solver_config(args)
+    cfg = SolverConfig(grad_tol=args.tol)
     if args.simplex:
         constraint = Simplex()
     else:
@@ -270,8 +258,7 @@ def _cmd_robust(args) -> int:
     x, res = _minimize(scenarios, constraint, family, args.eta, cfg)
     record = bound_record(res, args.eta, family)
     record["x"] = x.tolist()
-    print(render_json(record))
-    return 0
+    return record, 0
 
 
 # ---------------------------------------------------------------------------
@@ -284,12 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(sp, steps=False):
+    def common(sp, steps=False, tol=SolverConfig.grad_tol, tol_help="solver gradient tolerance"):
         sp.add_argument("--input", required=True, help="CSV input file")
         sp.add_argument("--divergence", required=True, help="'kl' or 'alpha:<value>'")
-        sp.add_argument("--tol", type=float, default=None,
-                        help="solver gradient tolerance; for oracle-check, the "
-                             f"tolerance on |gap| instead (default {_ORACLE_GAP_TOL:g})")
+        sp.add_argument("--tol", type=float, default=tol, help=tol_help + " (default %(default)g)")
         if steps:
             sp.add_argument("--eta-min", type=float, required=True)
             sp.add_argument("--eta-max", type=float, required=True)
@@ -311,7 +296,8 @@ def build_parser() -> argparse.ArgumentParser:
     sw.set_defaults(handler=_cmd_sweep)
 
     oc = sub.add_parser("oracle-check", help="compare against the primal slice oracle")
-    common(oc)
+    common(oc, tol=_ORACLE_GAP_TOL,
+           tol_help="tolerance on |gap|; the solve keeps its default settings")
     oc.add_argument("--grid", type=int, default=OracleConfig.grid_per_dim,
                     help="oracle t-grid points for 3 atoms (default %(default)s, at least 101); "
                     "2 atoms are one exact slice")
@@ -330,7 +316,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         with np.errstate(over="ignore"):
-            code = args.handler(args)
+            record, code = args.handler(args)
+            print(render_json(record))
         # flush here, so a closed pipe surfaces inside this try
         sys.stdout.flush()
         return code

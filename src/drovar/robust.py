@@ -104,14 +104,19 @@ class Simplex:
         return np.full(dim, 1.0 / dim)
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        """The Euclidean projection, by the sorted-threshold rule."""
-        u = np.sort(x)[::-1]
+        """The Euclidean projection, by the sorted-threshold rule on x - max(x).
+
+        Shifting every coordinate leaves the projection unchanged; after this
+        shift the top entry is 0, so the rule's first test reads 1 > 0 at any
+        magnitude, and its partial sums carry no rounding of large entries."""
+        y = x - np.max(x)
+        u = np.sort(y)[::-1]
         css = np.cumsum(u)
         idx = np.arange(1, x.size + 1)
         cond = u + (1.0 - css) / idx > 0.0
         k = int(np.nonzero(cond)[0][-1])
         theta = (1.0 - css[k]) / (k + 1)
-        return np.maximum(x + theta, 0.0)
+        return np.maximum(y + theta, 0.0)
 
 
 def robust_objective(

@@ -79,6 +79,34 @@ def test_bound_mean_matches_library(tmp_path):
     assert rec["bound"] == pytest.approx(direct.value, abs=1e-11)
 
 
+def test_bound_mean_reads_only_rho(tmp_path):
+    outs = []
+    for name, text in (("full.csv", "rho,phi,weight\n0.5,0,1\n-1,1,2\n1.5,2,1\n"),
+                       ("rho.csv", "rho,weight\n0.5,1\n-1,2\n1.5,1\n"),
+                       ("bad_phi.csv", "rho,phi,weight\n0.5,oops,1\n-1,,2\n1.5,2,1\n")):
+        path = tmp_path / name
+        path.write_text(text)
+        outs.append(run_cli("bound-mean", "--input", str(path),
+                            "--divergence", "kl", "--eta", "0.2"))
+    for out in outs:
+        assert (out.returncode, out.stderr) == (0, b"")
+    assert outs[0].stdout == outs[1].stdout == outs[2].stdout
+
+
+def test_tol_defaults_per_subcommand():
+    from drovar.solver import SolverConfig
+
+    parser = cli.build_parser()
+    src = ["--input", "in.csv", "--divergence", "kl"]
+    for argv, tol in ((["bound-mean", *src, "--eta", "0.1"], SolverConfig.grad_tol),
+                      (["bound-variance", *src, "--eta", "0.1"], SolverConfig.grad_tol),
+                      (["sweep", *src, "--eta-min", "0.1", "--eta-max", "0.2",
+                        "--steps", "2"], SolverConfig.grad_tol),
+                      (["robust", *src, "--eta", "0.1", "--simplex"], SolverConfig.grad_tol),
+                      (["oracle-check", *src, "--eta", "0.1"], 1e-4)):
+        assert parser.parse_args(argv).tol == tol, argv[0]
+
+
 def test_weight_column_normalization(tmp_path, bernoulli_csv):
     weighted = tmp_path / "weighted.csv"
     weighted.write_text("rho,phi,weight\n0,0,2\n0,1,2\n")
@@ -182,6 +210,17 @@ def test_robust_subcommand_box_and_simplex(tmp_path):
     assert reversed_box.returncode == 2
     assert reversed_box.stdout == b""
     assert b"--box LO must not exceed HI" in reversed_box.stderr
+
+
+def test_robust_simplex_on_returns_near_1e9(tmp_path):
+    # the simplex projection of the search's gradient steps, at this scale,
+    # once found no threshold and raised IndexError (exit 1)
+    scen = tmp_path / "big.csv"
+    scen.write_text("r1,r2\n1e9,-2e9\n5e8,3e9\n-1e9,1e9\n")
+    out = run_cli("robust", "--input", str(scen), "--divergence", "kl",
+                  "--eta", "0.1", "--simplex")
+    assert (out.returncode, out.stderr) == (0, b"")
+    assert sum(json.loads(out.stdout)["x"]) == pytest.approx(1.0, abs=1e-9)
 
 
 def test_tol_sets_the_solver_tolerance_of_a_bound_command(tmp_path):

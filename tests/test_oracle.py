@@ -193,3 +193,21 @@ def test_oracle_reaches_a_vertex(fam):
     np.testing.assert_allclose(argmax.weights, [0.0, 0.0, 1.0], atol=1e-11)
     assert value >= _dense_sup(data, p, fam, 1.2) - 1e-12
     assert value <= variance_bound(data, p, fam, 1.2).value + 1e-9
+
+
+_TWIN = ProblemData(rho=np.array([0.3, 0.3]), phi=np.array([0.5, 0.5]))
+_TWIN_TAIL = ProblemData(rho=np.array([-1.0, 0.3, 0.3]), phi=np.array([0.2, 0.5, 0.5]))
+
+
+@pytest.mark.parametrize("data, weights, fam", [
+    (_TWIN, [0.5, 0.5], KL),
+    (_TWIN_TAIL, [0.4, 0.3, 0.3], KL),
+    (_TWIN_TAIL, [0.4, 0.3, 0.3], A2),
+    (_TWIN_TAIL, [0.4, 0.3, 0.3], alpha_family(0.5)),
+], ids=["two-kl", "three-kl", "three-alpha:2", "three-alpha:0.5"])
+def test_a_slice_of_two_identical_atoms_meets_the_dual(data, weights, fam):
+    # the slice's two atoms carry the same rho and phi, so the objective is
+    # flat along it and has no stationary point to solve for
+    p = EmpiricalMeasure(np.array(weights))
+    value, _ = primal_sup_grid(data, p, fam, 0.2)
+    assert abs(value - variance_bound(data, p, fam, 0.2).value) <= 1e-10

@@ -35,6 +35,14 @@ def test_one_dimensional_rows_are_promoted():
     assert s.dim == 1
 
 
+def test_scenario_rows_are_a_frozen_copy():
+    raw = np.ones((2, 2))
+    s = ScenarioMatrix(rows=raw, weights=uniform_measure(2))
+    raw[0, 0] = 5.0  # the caller's array stays writable and apart
+    assert s.rows[0, 0] == 1.0
+    assert not s.rows.flags.writeable
+
+
 def test_scenario_validation():
     with pytest.raises(ValidationError):
         ScenarioMatrix(rows=np.ones((3, 2)), weights=uniform_measure(2))
@@ -75,8 +83,28 @@ def test_box_and_simplex_own_their_start_and_projection():
     box = Box(lo=np.array([0.0, -1.0]), hi=np.array([1.0, 3.0]))
     np.testing.assert_array_equal(box.start(2), [0.5, 1.0])
     np.testing.assert_array_equal(box.project(np.array([-2.0, 2.0])), [0.0, 2.0])
+    listed = Box(lo=[0.0, 1.0], hi=[2, 1])  # stored as float arrays
+    assert listed.lo.dtype == listed.hi.dtype == float
+    np.testing.assert_array_equal(listed.start(2), [1.0, 1.0])
     np.testing.assert_array_equal(Simplex().start(4), np.full(4, 0.25))
     np.testing.assert_allclose(Simplex().project(np.array([2.0, 0.0, -1.0])), [1.0, 0.0, 0.0])
+
+
+@pytest.mark.parametrize("scale", [1e8, 1e12, 1e16, 1e50, 1e150, 1e300])
+def test_simplex_projection_holds_at_any_magnitude(scale):
+    rng = np.random.default_rng([26, int(np.log10(scale))])
+    signs = rng.choice([-1.0, 1.0], 6)
+    for x in (
+        np.array([1.0, 2.0 / scale]),  # at 1e16 the sorted rule's first test rounded to 0
+        np.array([1.0 + 3e-13, 1.0 + 1e-13]),
+        np.array([1.0 + 3e-9, 1.0 + 1e-9, 1.0 - 2e-9]),
+        signs * rng.uniform(0.5, 1.0, 6),
+        signs * (1.0 + rng.uniform(-1e-15, 1e-15, 6)),  # near ties among one sign's entries
+        -(1.0 + rng.uniform(0.0, 1e-15, 6)),
+    ):
+        q = Simplex().project(scale * x)
+        assert np.all(q >= 0.0)
+        assert abs(q.sum() - 1.0) <= 1e-12
 
 
 def test_minimize_rejects_a_constraint_of_the_wrong_size_or_kind():
@@ -95,6 +123,24 @@ def test_minimize_rejects_returns_whose_payoff_overflows(fam):
     box = Box(lo=np.zeros(2), hi=np.ones(2))
     with pytest.raises(ValidationError, match="overflows"):
         robust_minimize(s, box, fam, 0.1)
+
+
+def test_minimize_rejects_returns_whose_gradient_overflows():
+    # at x <= 1e-10 the payoff is finite, but its gradient, of order x*r^2,
+    # is not; the search would stall at the start point on nan steps
+    s = ScenarioMatrix(rows=np.array([[1e160, 1.0], [-1e160, 2.0], [5e159, -1.0]]),
+                       weights=uniform_measure(3))
+    box = Box(lo=np.zeros(2), hi=np.full(2, 1e-10))
+    with pytest.raises(ValidationError, match="gradient of the robust objective overflows"):
+        robust_minimize(s, box, KL, 0.1)
+
+
+@pytest.mark.parametrize("eta", [0.0, -1.0, np.nan, 5.0])
+def test_minimize_rejects_a_radius_out_of_range(eta):
+    s = ScenarioMatrix(rows=np.array([[1.0, 1.0], [-1.0, 2.0]]), weights=uniform_measure(2))
+    for constraint in (Box(lo=np.zeros(2), hi=np.ones(2)), Simplex()):
+        with pytest.raises(ValidationError, match="eta must lie in"):
+            robust_minimize(s, constraint, alpha_family(0.5), eta)
 
 
 # ---------------------------------------------------------------------------
@@ -263,6 +309,22 @@ def test_minimize_reaches_a_quasi_newton_reference(seed):
         method="L-BFGS-B", bounds=[(0.0, 1.0)] * d,
     )
     assert val <= ref.fun + 1e-8
+
+
+def test_the_search_stops_at_its_evaluation_cap(monkeypatch):
+    # this instance runs into the cap; a backtracking step that went uncounted
+    # would carry the search on to about 900 evaluations
+    calls = []
+
+    class CountedEvaluation(robust_mod._Evaluation):
+        def __call__(self, *args):
+            calls.append(None)
+            return super().__call__(*args)
+
+    monkeypatch.setattr(robust_mod, "_Evaluation", CountedEvaluation)
+    s = _sweep_instance("alpha:8", 8, "simplex")
+    robust_minimize(s, Simplex(), alpha_family(8.0), 0.1)
+    assert 0 < len(calls) <= 500
 
 
 def test_the_search_does_its_work_in_few_root_steps(monkeypatch):
