@@ -12,7 +12,8 @@ sections of other labels, so two revisions land side by side in one file.
 Recorded per label:
 
 - robust: for each robust_minimize instance (acceptance criterion 11, the
-  demo's four etas, four 8-asset KL boxes) the evaluations per call, counted
+  demo's four etas, four 8-asset KL boxes drawn by robust_digest.py's
+  drifting_returns) the evaluations per call, counted
   by wrapping ScenarioMatrix.problem_for, which every revision calls once per
   evaluation of the search (a nested inner solve before the joint search in
   (x, nu)) and once for the final certified solve; the root steps per call,
@@ -82,6 +83,7 @@ from drovar import (
     uniform_measure,
     variance_bound,
 )
+from robust_digest import drifting_returns
 
 KL = kl_family()
 DEMO_RETURNS = np.array([
@@ -100,11 +102,8 @@ CLI_SWEEP_ROWS = 10_000
 CLI_SWEEP_GRID = ("0.05", "0.5", "20")  # --eta-min, --eta-max, --steps
 
 
-def drifting_box(seed: int, m: int = 40, d: int = 8) -> ScenarioMatrix:
-    rng = np.random.default_rng([2026, seed])
-    rows = rng.uniform(-0.05, 0.1, d) + rng.uniform(0.1, 0.3, d) * rng.standard_normal((m, d))
-    w = rng.uniform(0.1, 1.0, m)
-    return ScenarioMatrix(rows=rows, weights=EmpiricalMeasure(w / w.sum()))
+def drifting_box(seed: int) -> ScenarioMatrix:
+    return drifting_returns(np.random.default_rng([2026, seed]), 40, 8)
 
 
 def robust_instances():

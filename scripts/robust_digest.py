@@ -1,6 +1,7 @@
-"""One line per robust search of a seeded sweep: its inputs, the status and
-root steps of the certified solve at the decision it returns, and the sha256
-of that decision and its value.
+"""One line per robust search of a seeded sweep: its inputs, the number of
+evaluations the search made, the status and root steps of the certified
+solve at the decision it returns, and the sha256 of that decision and its
+value.
 
 The sweep draws 40 scenario rows of d assets, with per-asset drift and
 spread under random weights, from one rng 2121 stream, for kl and alpha
@@ -10,11 +11,13 @@ from.  Then come one-point boxes, at x = 0.3 and at the kink x = 0, and the
 rows (1, -2), (0.5, 3), (-1, 1) scaled by 1e6 to 1e12, on the box and the
 simplex.  A line reads
 
-    index  family  d  constraint  status  iterations  sha256
+    index  family  d  constraint  evaluations  status  iterations  sha256
 
-and a search that raises ValidationError prints its message instead of the
-last three fields.  The sweep uses whatever src/ is on PYTHONPATH, so two
-revisions compare by a diff of their outputs:
+where evaluations counts the calls of drovar.robust._Evaluation, so a search
+that stops at its 500-evaluation cap shows, and a search that raises
+ValidationError prints its message instead of the last three fields.  The
+sweep uses whatever src/ is on PYTHONPATH, so two revisions compare by a
+diff of their outputs:
 
     PYTHONPATH=<old>/src python scripts/robust_digest.py > old.txt
     PYTHONPATH=src python scripts/robust_digest.py > new.txt
@@ -28,6 +31,7 @@ import struct
 
 import numpy as np
 
+import drovar.robust as robust
 from drovar.divergences import alpha_family, kl_family
 from drovar.errors import ValidationError
 from drovar.measures import EmpiricalMeasure, uniform_measure
@@ -69,7 +73,16 @@ def instances():
 
 
 def main() -> None:
+    calls = []
+
+    class CountedEvaluation(robust._Evaluation):
+        def __call__(self, *args):
+            calls.append(None)
+            return super().__call__(*args)
+
+    robust._Evaluation = CountedEvaluation
     for index, (fam, scenarios, name, constraint) in enumerate(instances()):
+        calls.clear()
         try:
             x, res = _minimize(scenarios, constraint, fam, ETA, None)
             h = hashlib.sha256(np.ascontiguousarray(x, dtype="<f8").tobytes())
@@ -77,7 +90,7 @@ def main() -> None:
             tail = f"{res.status}  {res.iterations}  {h.hexdigest()}"
         except ValidationError as exc:
             tail = f"ValidationError: {exc}"
-        print(f"{index}  {fam.label}  {scenarios.dim}  {name}  {tail}")
+        print(f"{index}  {fam.label}  {scenarios.dim}  {name}  {len(calls)}  {tail}")
 
 
 if __name__ == "__main__":

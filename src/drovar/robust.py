@@ -6,10 +6,10 @@ worst case penalizes low means) and phi = <x, r> (the return whose variance
 is penalized).  Through the dual the objective is the minimum over nu of
 F(x, nu) = nu^2/4 + M_f(-<x,r> + <x,r>(<x,r> - nu)), jointly convex in (x, nu),
 and the minimizer is a deterministic projected gradient method over (x, nu)
-on its Danskin gradient, spectral (Birgin, Martinez & Raydan 2000) in x and
-Newton in nu: one shared evaluation of F per point, with no certificate.
-A one-point set runs the same search, which then moves only nu.  One cold,
-certified solve at the returned decision gives the value it reports.
+on its Danskin gradient, Newton in nu and spectral (Birgin, Martinez & Raydan
+2000) in x, its step length unbounded, as the units of the returns scale it:
+one evaluation of F per point, no certificate; a one-point set moves only nu.
+One cold, certified solve at the returned decision gives the value it reports.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .solver import BoundResult, SolverConfig, _Evaluation, variance_bound
 _MAX_EVALS = 500
 _STEP_TOL = 1e-9
 _ARMIJO = 1e-4
-_LAM_MIN, _LAM_MAX = 1e-10, 1e10
 
 
 @dataclass(frozen=True)
@@ -157,13 +156,13 @@ def robust_minimize(
     Danskin's theorem the worst case Q of one evaluation gives the whole
     gradient, (E_Q[(2<x,r> - nu - 1) r], nu/2 - E_Q[<x,r>]), and the
     evaluation's curvature gives d^2F/dnu^2.
-    Each iteration moves x to the projection of a Barzilai-Borwein gradient
-    step and nu by a Newton step, then backtracks along that direction
-    (Armijo, safeguarded quadratic interpolation); the trial points are
-    convex combinations of feasible points, so they stay feasible.  The
-    search is monotone because F has a kink at x = 0, where every atom ties.
-    nu starts at 2*E_P[<x,r>].  Each evaluation runs one kernel root,
-    warm-started from the previous one's, and builds no certificate.
+    Each iteration moves x to the projection of a gradient step of unbounded
+    Barzilai-Borwein length s.s/s.y (the last length when s.y <= 0) and nu by
+    a Newton step, then backtracks along that direction (Armijo, safeguarded
+    quadratic interpolation); the trial points are convex combinations of
+    feasible points, so they stay feasible.  The search is monotone because F
+    has a kink at x = 0, where every atom ties.  nu starts at 2*E_P[<x,r>].
+    Each evaluation runs one warm-started kernel root and builds no certificate.
 
     Deterministic: fixed start (box center or simplex barycenter); stops when
     the Newton step in nu and the projected gradient step in x, at the
@@ -207,7 +206,7 @@ def _spg(x, nu, evaluate, project) -> np.ndarray:
     evals = 1
     # first step: the projected gradient scaled to unit sup-norm
     first = float(np.max(np.abs(project(x - g) - x)))
-    lam = min(max(1.0 / first, _LAM_MIN), _LAM_MAX) if first > 0.0 else 1.0
+    lam = 1.0 / first if first > 0.0 else 1.0
     while evals < _MAX_EVALS:
         p = project(x - lam * g)
         d = p - x
@@ -235,6 +234,6 @@ def _spg(x, nu, evaluate, project) -> np.ndarray:
         # nu moves between the two gradients, so s.y <= 0 does not show F flat
         # along s: keep the last spectral step then
         if sy > 0.0:
-            lam = min(max(float(s @ s) / sy, _LAM_MIN), _LAM_MAX)
+            lam = float(s @ s) / sy
         x, nu, f, g, gnu, d2 = trial, trial_nu, f_t, g_t, gnu_t, d2_t
     return x

@@ -1,5 +1,8 @@
 """Scenario matrices and the outer robust minimization over decisions."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ import drovar.robust as robust_mod
 import drovar.solver as solver_mod
 from drovar.divergences import alpha_family, kl_family
 from drovar.errors import ValidationError
-from drovar.measures import EmpiricalMeasure, mean_var_of, uniform_measure
+from drovar.measures import mean_var_of, uniform_measure
 from drovar.oracle import primal_sup_grid
 from drovar.robust import (
     Box,
@@ -19,6 +22,40 @@ from drovar.robust import (
 )
 
 KL = kl_family()
+
+
+def _robust_digest():
+    """scripts/robust_digest.py as a module, so the tests draw its instances."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "robust_digest.py"
+    spec = importlib.util.spec_from_file_location("robust_digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+DIGEST = _robust_digest()
+
+
+def _digest_instance(label, d, name):
+    """(family, scenarios, constraint) of the digest's search with that family
+    label, that many assets and that constraint name."""
+    for fam, s, kind, constraint in DIGEST.instances():
+        if (fam.label, s.dim, kind) == (label, d, name):
+            return fam, s, constraint
+    raise AssertionError("no such digest instance")
+
+
+def _counted_evaluations(monkeypatch):
+    """A list that grows by one at each call of robust._Evaluation."""
+    calls = []
+
+    class CountedEvaluation(robust_mod._Evaluation):
+        def __call__(self, *args):
+            calls.append(None)
+            return super().__call__(*args)
+
+    monkeypatch.setattr(robust_mod, "_Evaluation", CountedEvaluation)
+    return calls
 
 
 def two_scenarios():
@@ -211,28 +248,22 @@ def test_minimize_in_a_degenerate_box_stays_put():
                          ids=["kl", "alpha:2", "alpha:0.5"])
 def test_minimize_ends_in_one_certified_solve_whether_or_not_it_moves(
         monkeypatch, fam, d, constraint, moves):
-    s = _drifting_returns(np.random.default_rng([11, d]), 25, d)
-    calls = {"search": 0, "certified": 0}
+    s = DIGEST.drifting_returns(np.random.default_rng([11, d]), 25, d)
+    search, certified = _counted_evaluations(monkeypatch), []
     bound = robust_mod.variance_bound
 
-    class CountedEvaluation(robust_mod._Evaluation):
-        def __call__(self, *args):
-            calls["search"] += 1
-            return super().__call__(*args)
-
     def counted_bound(*args, **kwargs):
-        calls["certified"] += 1
+        certified.append(None)
         return bound(*args, **kwargs)
 
-    monkeypatch.setattr(robust_mod, "_Evaluation", CountedEvaluation)
     monkeypatch.setattr(robust_mod, "variance_bound", counted_bound)
     x_star, val = robust_minimize(s, constraint, fam, 0.1)
     # the search runs on every set; on a one-point set it settles only nu
-    assert calls["search"] > 1
+    assert len(search) > 1
     if not moves:
         np.testing.assert_array_equal(x_star, constraint.start(d))
     # one final cold solve gives the value, whether or not the search moved
-    assert calls["certified"] == 1
+    assert len(certified) == 1
     monkeypatch.undo()
     assert val == robust_objective(x_star, s, fam, 0.1)
 
@@ -257,17 +288,9 @@ def test_minimize_is_deterministic():
     np.testing.assert_array_equal(a[0], b[0])
 
 
-def _drifting_returns(rng, m, d):
-    """m scenario rows of d assets with per-asset drift and spread, under
-    random weights."""
-    rows = rng.uniform(-0.05, 0.1, d) + rng.uniform(0.1, 0.3, d) * rng.standard_normal((m, d))
-    w = rng.uniform(0.1, 1.0, m)
-    return ScenarioMatrix(rows=rows, weights=EmpiricalMeasure(w / w.sum()))
-
-
 def test_minimize_beyond_eight_assets():
     d = 12
-    s = _drifting_returns(np.random.default_rng(12), 30, d)
+    s = DIGEST.drifting_returns(np.random.default_rng(12), 30, d)
     box = Box(lo=np.zeros(d), hi=np.ones(d))
     x_star, val = robust_minimize(s, box, KL, 0.1)
     assert np.all((x_star >= 0.0) & (x_star <= 1.0))
@@ -283,7 +306,7 @@ def test_minimize_beyond_eight_assets():
 @pytest.mark.parametrize("simplex", [False, True], ids=["box", "simplex"])
 @pytest.mark.parametrize("d", [2, 4])
 def test_minimize_beyond_kl(fam, simplex, d):
-    s = _drifting_returns(np.random.default_rng([7, d]), 25, d)
+    s = DIGEST.drifting_returns(np.random.default_rng([7, d]), 25, d)
     constraint = Simplex() if simplex else Box(lo=np.zeros(d), hi=np.ones(d))
     x_star, val = robust_minimize(s, constraint, fam, 0.1)
     assert np.all(x_star >= 0.0) and np.all(x_star <= 1.0)
@@ -302,7 +325,7 @@ def test_minimize_reaches_a_quasi_newton_reference(seed):
     # derivative-free search stalled 6.5e-5 to 1.2e-3 above this reference
     scipy_optimize = pytest.importorskip("scipy.optimize")
     d = 8
-    s = _drifting_returns(np.random.default_rng([2026, seed]), 40, d)
+    s = DIGEST.drifting_returns(np.random.default_rng([2026, seed]), 40, d)
     _, val = robust_minimize(s, Box(lo=np.zeros(d), hi=np.ones(d)), KL, 0.05)
     ref = scipy_optimize.minimize(
         lambda x: robust_objective(x, s, KL, 0.05), np.full(d, 0.5),
@@ -314,16 +337,9 @@ def test_minimize_reaches_a_quasi_newton_reference(seed):
 def test_the_search_stops_at_its_evaluation_cap(monkeypatch):
     # this instance runs into the cap; a backtracking step that went uncounted
     # would carry the search on to about 900 evaluations
-    calls = []
-
-    class CountedEvaluation(robust_mod._Evaluation):
-        def __call__(self, *args):
-            calls.append(None)
-            return super().__call__(*args)
-
-    monkeypatch.setattr(robust_mod, "_Evaluation", CountedEvaluation)
-    s = _sweep_instance("alpha:8", 8, "simplex")
-    robust_minimize(s, Simplex(), alpha_family(8.0), 0.1)
+    calls = _counted_evaluations(monkeypatch)
+    fam, s, constraint = _digest_instance("alpha:8", 8, "simplex")
+    robust_minimize(s, constraint, fam, 0.1)
     assert 0 < len(calls) <= 500
 
 
@@ -339,25 +355,11 @@ def test_the_search_does_its_work_in_few_root_steps(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "Budget", CountedBudget)
     for d in (2, 4, 8):
-        s = _drifting_returns(np.random.default_rng([21, d]), 40, d)
+        s = DIGEST.drifting_returns(np.random.default_rng([21, d]), 40, d)
         for fam in (KL, alpha_family(2.0), alpha_family(0.5)):
             for constraint in (Box(lo=np.zeros(d), hi=np.ones(d)), Simplex()):
                 robust_minimize(s, constraint, fam, 0.1)
     assert sum(b.used for b in budgets) <= 1300
-
-
-def _sweep_instance(family, d, constraint):
-    # one instance of a sweep that draws _drifting_returns(rng, 40, d) from one
-    # rng 2121 stream for kl and alpha 0.1, 0.5, 2 and 8, d = 1-8, box then
-    # simplex, in that order
-    rng = np.random.default_rng(2121)
-    for fam in ("kl", "alpha:0.1", "alpha:0.5", "alpha:2", "alpha:8"):
-        for dim in range(1, 9):
-            for kind in ("box", "simplex"):
-                s = _drifting_returns(rng, 40, dim)
-                if (fam, dim, kind) == (family, d, constraint):
-                    return s
-    raise AssertionError("no such sweep instance")
 
 
 @pytest.mark.parametrize("d, constraint, reference", [
@@ -369,7 +371,38 @@ def _sweep_instance(family, d, constraint):
 def test_the_search_ends_no_higher_than_the_nested_search_did(d, constraint, reference):
     # reference: the value of the former search, which minimized over nu by a
     # Newton root at every point, on the same instance
-    s = _sweep_instance("alpha:8", d, constraint)
-    c = Box(lo=np.zeros(d), hi=np.ones(d)) if constraint == "box" else Simplex()
-    _, val = robust_minimize(s, c, alpha_family(8.0), 0.1)
+    fam, s, c = _digest_instance("alpha:8", d, constraint)
+    _, val = robust_minimize(s, c, fam, 0.1)
     assert val <= reference + 1e-12 * (1.0 + abs(reference))
+
+
+@pytest.mark.parametrize("constraint", ["box", "simplex"])
+@pytest.mark.parametrize("label", ["kl", "alpha:0.1"])
+@pytest.mark.parametrize("scale", ["1e+06", "1e+08", "1e+09", "1e+12"])
+def test_the_search_reaches_its_minimum_in_any_units(monkeypatch, scale, label, constraint):
+    # the minimizer does not depend on the units of the returns; a spectral
+    # step clamped to [1e-10, 1e10] ended these simplices 1.8e-2 to 2.4e-2 of
+    # |F(x0)| high, and 11 of the 16 searches at the cap
+    scipy_optimize = pytest.importorskip("scipy.optimize")
+    fam, s, c = _digest_instance(label, 2, f"{constraint}*{scale}")
+    calls = _counted_evaluations(monkeypatch)
+    _, val = robust_minimize(s, c, fam, DIGEST.ETA)
+    evaluations = len(calls)
+
+    def objective(t):
+        return robust_objective(np.array([t, 1.0 - t]), s, fam, DIGEST.ETA)
+
+    if constraint == "box":
+        # the minimum lies beside x = 0, below F(0) = 0 by under 0.003 at
+        # every scale, which is under 3e-15 of |F(x0)| here
+        reference = robust_objective(np.zeros(2), s, fam, DIGEST.ETA)
+    else:
+        grid = np.linspace(0.0, 1.0, 201)
+        t = grid[int(np.argmin([objective(t) for t in grid]))]
+        reference = scipy_optimize.minimize_scalar(
+            objective, bounds=(max(t - 0.005, 0.0), min(t + 0.005, 1.0)),
+            method="bounded", options={"xatol": 1e-12},
+        ).fun
+    start = robust_objective(c.project(c.start(2)), s, fam, DIGEST.ETA)
+    assert abs(val - reference) <= 1e-12 * abs(start)
+    assert evaluations < 500
