@@ -183,8 +183,7 @@ def bench_solves(repeats: int) -> tuple[dict, dict, dict, dict]:
             if n == CERTIFY_SIZE:
                 flt, sys_per = per_call_rusage(lambda: variance_bound(data, p, fam, 0.1), repeats)
                 faults[f"{label}_n{n}"], sys_ms[f"{label}_n{n}"] = round(flt, 1), round(sys_per, 3)
-                ms = median_ms(lambda: optimality_diagnostics(res.dual_point, data, p, fam, 0.1),
-                               repeats)
+                ms = median_ms(lambda: optimality_diagnostics(res.dual_point, data, p, fam), repeats)
                 certify[f"{label}_n{n}"] = round(ms, 3)
     return out, certify, faults, sys_ms
 

@@ -10,7 +10,8 @@ to (1e-14*rho, 1e-7*phi), CSVs with blank rows, short rows, extra fields,
 padded cells and a byte-order mark before a padded header, and a 10-step
 sweep on 2,000 rows with ties and a zero weight (1,999 tilt weights per
 record); last, bound-mean on a CSV without a phi column and on one with a
-non-numeric phi cell, and robust --simplex on returns near 1e9.  The runs
+non-numeric phi cell, robust --simplex on returns near 1e9, and oracle-check
+on a 3-atom instance scaled to rho near 1e13 and phi near 1e6.  The runs
 use whatever src/ is on PYTHONPATH, so two revisions compare by a diff of
 their outputs:
 
@@ -77,6 +78,7 @@ def write_inputs(tmp: Path) -> list[str]:
         "non_numeric_row3.csv": "rho,phi,weight\n0,0,1\n1,1,1\n0.5,0.2,1e\n",
         "rho_only.csv": "rho,weight\n0.5,1\n-1,2\n2,0\n1.5,1\n",
         "scen_1e9.csv": "r1,r2\n1e9,-2e9\n5e8,3e9\n-1e9,1e9\n",
+        "oracle_1e14.csv": "rho,phi,weight\n3e13,5e6,0.5\n-2e13,1e6,0.3\n5e13,-4e6,0.2\n",
     }
     for name, text in texts.items():
         (tmp / name).write_text(text, encoding="utf-8")
@@ -136,6 +138,8 @@ def matrix(bound_csvs: list[str]) -> list[list[str]]:
         runs.append(["bound-mean", "--input", name, "--divergence", "kl", "--eta", "0.2"])
     runs.append(["robust", "--input", "scen_1e9.csv", "--divergence", "kl", "--eta", "0.1",
                  "--simplex"])
+    runs.append(["oracle-check", "--input", "oracle_1e14.csv", "--divergence", "kl",
+                 "--eta", "0.2"])
     return runs
 
 

@@ -11,9 +11,9 @@ n <= 10 are also solved with "generic": 1,505 more.  A line reads
 
     index  family  n  eta  parameterization  status  iterations  sha256
 
-with the hash over the value, the dual point, the tilt's bytes and the
-diagnostics; a solve that raises ValidationError prints its message instead
-of the last three fields.  The sweep uses whatever src/ is on PYTHONPATH, so
+with the hash over the value, the dual point, the tilt's bytes, the
+diagnostics and whether the status is BoundaryLambda; a solve that raises
+ValidationError prints its message instead of the last three fields.  The sweep uses whatever src/ is on PYTHONPATH, so
 two revisions compare by a diff of their outputs:
 
     PYTHONPATH=<old>/src python scripts/solve_digest.py > old.txt
@@ -61,9 +61,9 @@ def instances():
 def digest(res) -> str:
     d, g = res.dual_point, res.diagnostics
     h = hashlib.sha256(struct.pack("<4d", res.value, d.lam, d.beta, d.nu))
-    h.update(np.ascontiguousarray(res.tilt.weights, dtype="<f8").tobytes())
+    h.update(np.ascontiguousarray(res.tilt, dtype="<f8").tobytes())
     h.update(struct.pack("<3d?", g.normalization, g.achieved_divergence,
-                         g.mean_condition_gap, g.boundary_flag))
+                         g.mean_condition_gap, res.status == "BoundaryLambda"))
     return f"{res.status}  {res.iterations}  {h.hexdigest()}"
 
 

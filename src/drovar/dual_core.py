@@ -74,26 +74,17 @@ class DualPoint:
 
 
 @dataclass(frozen=True)
-class TiltResult:
-    """Worst-case weights w_i = p_i * (f*)'(Psi_i), unnormalized."""
-
-    weights: np.ndarray
-
-
-@dataclass(frozen=True)
 class Diagnostics:
     """Stationarity certificate values at a dual point.
 
     normalization      sum of tilted weights (1 at an interior optimum)
     achieved_divergence D_f(tilt, P)          (eta at an interior optimum)
     mean_condition_gap E_tilt[phi] - nu/2     (0 at an interior optimum)
-    boundary_flag      True when the solve ended BoundaryLambda
     """
 
     normalization: float
     achieved_divergence: float
     mean_condition_gap: float
-    boundary_flag: bool
 
 
 def _payoff(data: ProblemData, nu: float, out: np.ndarray | None = None) -> np.ndarray:
@@ -265,8 +256,8 @@ def tilt(
     data: ProblemData,
     p: EmpiricalMeasure,
     family: FDivergenceFamily,
-) -> TiltResult:
-    """Worst-case weights p_i * (f*)'(Psi_i) at the dual point (unnormalized);
+) -> np.ndarray:
+    """Worst-case weights p_i * (f*)'(Psi_i) at the dual point, unnormalized;
     at lam = 0, P conditioned on {u = beta}, which needs beta = max u.
 
     These are rebuilt from dp in absolute units, not taken from a solve, so at
@@ -284,18 +275,18 @@ def tilt(
             raise ValidationError("at lam = 0 the tilt needs beta = max u")
         on_top = u == dp.beta
         pa = float(p.weights[on_top].sum())
-        return TiltResult(weights=np.where(on_top, p.weights / pa, 0.0))
+        return np.where(on_top, p.weights / pa, 0.0)
     args = (u - dp.beta) / dp.lam
     dens = conj_deriv(family, args)
     if not np.all(np.isfinite(dens)):
         raise ValidationError(
             "conjugate argument outside dom f*; no tilt exists at this point"
         )
-    return TiltResult(weights=p.weights * dens)
+    return p.weights * dens
 
 
 def _certificate(weights: np.ndarray, p: EmpiricalMeasure, phi: np.ndarray, nu: float,
-                 family: FDivergenceFamily, boundary: bool) -> Diagnostics:
+                 family: FDivergenceFamily) -> Diagnostics:
     """The stationarity certificate of unnormalized worst-case weights.
 
     Its three sums are exact (measures._exact_sum): each field is math.fsum
@@ -305,7 +296,6 @@ def _certificate(weights: np.ndarray, p: EmpiricalMeasure, phi: np.ndarray, nu: 
         normalization=_exact_sum(weights),
         achieved_divergence=_exact_sum(p.weights * f_eval(family, weights / p.weights)),
         mean_condition_gap=_exact_sum(weights * phi) - nu / 2.0,
-        boundary_flag=bool(boundary),
     )
 
 
@@ -314,13 +304,10 @@ def optimality_diagnostics(
     data: ProblemData,
     p: EmpiricalMeasure,
     family: FDivergenceFamily,
-    eta: float,
-    boundary: bool = False,
 ) -> Diagnostics:
-    """Evaluate the stationarity certificate at dp (see Diagnostics).
+    """Evaluate the stationarity certificate of tilt(dp, ...) (see Diagnostics).
 
-    It certifies tilt(dp, ...), so at a solver's dual_point it can disagree
-    with that solve's BoundResult.diagnostics (see tilt).
+    At a solver's dual_point it can disagree with that solve's
+    BoundResult.diagnostics (see tilt).
     """
-    return _certificate(tilt(dp, data, p, family).weights, p, data.phi, dp.nu,
-                        family, boundary)
+    return _certificate(tilt(dp, data, p, family), p, data.phi, dp.nu, family)

@@ -61,7 +61,7 @@ from .divergences import (
     conj_deriv,
     conj_eval,
 )
-from .dual_core import Diagnostics, DualPoint, TiltResult, _certificate, _payoff
+from .dual_core import Diagnostics, DualPoint, _certificate, _payoff
 from .errors import ValidationError
 from .measures import EmpiricalMeasure, ProblemData, check_lengths
 
@@ -370,12 +370,13 @@ class SolverConfig:
 class BoundResult:
     """A solved bound: value, certificate point, worst-case weights, diagnostics.
 
+    tilt holds the worst-case weights w_i = p_i (f*)'(Psi_i), unnormalized;
     iterations counts root steps, outer (nu) plus inner (the worst-case mean).
     """
 
     value: float
     dual_point: DualPoint
-    tilt: TiltResult
+    tilt: np.ndarray
     diagnostics: Diagnostics
     status: str
     iterations: int
@@ -472,15 +473,13 @@ def variance_bound(
     # at a root the last point meets the criterion; otherwise keep the lowest
     # certified value evaluated
     value, nu, inner = last if state == ROOT else best
-    status = _status(state, inner)
     weights = inner.q * inner.mass
     return BoundResult(
         value=value,
         dual_point=DualPoint(inner.lam, inner.beta, nu),
-        tilt=TiltResult(weights),
-        diagnostics=_certificate(weights, p, data.phi, nu, family,
-                                 status == BOUNDARY_LAMBDA),
-        status=status,
+        tilt=weights,
+        diagnostics=_certificate(weights, p, data.phi, nu, family),
+        status=_status(state, inner),
         iterations=budget.used,
     )
 

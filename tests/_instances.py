@@ -1,4 +1,8 @@
-"""Shared random-instance helpers for the test suite."""
+"""Shared helpers for the test suite: random instances, and the digest
+scripts loaded as modules."""
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -28,3 +32,12 @@ def feasible_measure(rng, p, family, eta):
             return q
         t *= 0.5
     return EmpiricalMeasure(weights=p.weights.copy())
+
+
+def script_module(name):
+    """scripts/<name>.py as a module, so a test's slice of its sweep cannot drift."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

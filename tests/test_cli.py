@@ -190,6 +190,23 @@ def test_oracle_check_exit_codes(skewed_csv):
     assert bad.returncode == 2
 
 
+def test_oracle_check_tolerance_scales_with_the_oracle_value(tmp_path):
+    # rho near 1e13 and phi near 1e6: the bound agrees with the oracle to a
+    # few ulps, yet the gap is 1.6e-2, so only a tolerance relative to
+    # 1 + |oracle value| passes it; half that relative gap still fails
+    scaled = tmp_path / "scaled.csv"
+    scaled.write_text("rho,phi,weight\n3e13,5e6,0.5\n-2e13,1e6,0.3\n5e13,-4e6,0.2\n")
+    args = ("oracle-check", "--input", str(scaled), "--divergence", "kl", "--eta", "0.2")
+    ok = run_cli(*args)
+    assert (ok.returncode, ok.stderr) == (0, b"")
+    rec = json.loads(ok.stdout)
+    assert abs(rec["gap"]) > 1e-4
+    half = abs(rec["gap"]) / (2.0 * (1.0 + abs(rec["oracle_value"])))
+    tight = run_cli(*args, "--tol", repr(half))
+    assert tight.returncode == 3
+    assert tight.stdout == ok.stdout
+
+
 def test_robust_subcommand_box_and_simplex(tmp_path):
     scen = tmp_path / "scenarios.csv"
     scen.write_text("r1,r2\n1.2,-0.3\n-0.8,0.1\n0.4,0.05\n")

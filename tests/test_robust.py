@@ -1,8 +1,5 @@
 """Scenario matrices and the outer robust minimization over decisions."""
 
-import importlib.util
-from pathlib import Path
-
 import numpy as np
 import pytest
 
@@ -21,19 +18,10 @@ from drovar.robust import (
     robust_objective,
 )
 
+from _instances import script_module
+
 KL = kl_family()
-
-
-def _robust_digest():
-    """scripts/robust_digest.py as a module, so the tests draw its instances."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "robust_digest.py"
-    spec = importlib.util.spec_from_file_location("robust_digest", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-DIGEST = _robust_digest()
+DIGEST = script_module("robust_digest")  # the tests draw its instances
 
 
 def _digest_instance(label, d, name):

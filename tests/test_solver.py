@@ -1,6 +1,5 @@
 """Dual solves: configuration, the bound front ends, and the symmetries the math guarantees."""
 
-import importlib.util
 import itertools
 import math
 import subprocess
@@ -45,7 +44,7 @@ from drovar.solver import (
     variance_bound,
 )
 
-from _instances import random_instance
+from _instances import random_instance, script_module
 
 KL = kl_family()
 A2 = alpha_family(2.0)
@@ -95,7 +94,6 @@ def test_interior_maximum_pins_lambda():
     res = variance_bound(BERNOULLI, HALF, KL, 0.1)
     assert res.status == BOUNDARY_LAMBDA
     assert res.value == pytest.approx(0.25, abs=1e-4)
-    assert res.diagnostics.boundary_flag is True
 
 
 def test_kl_bound_binding_radius():
@@ -214,7 +212,7 @@ def test_one_atom_bound_is_its_value(fam, rho, phi):
     res = variance_bound(ProblemData(rho=np.array([rho]), phi=np.array([phi])),
                          uniform_measure(1), fam, 0.2)
     assert abs(res.value - rho) <= 1e-15 * (abs(rho) + phi * phi)
-    assert res.tilt.weights.tolist() == [1.0]
+    assert res.tilt.tolist() == [1.0]
 
 
 @FAMILY_CASES
@@ -233,7 +231,7 @@ def test_boundary_tilts_lie_in_the_ball(fam):
         if res.status != BOUNDARY_LAMBDA:
             continue
         boundary += 1
-        assert abs(res.tilt.weights.sum() - 1.0) <= 1e-9
+        assert abs(res.tilt.sum() - 1.0) <= 1e-9
         assert res.diagnostics.achieved_divergence <= eta * (1.0 + 1e-9)
         # the reported dual point reproduces the bound, and at lam = 0 the
         # certificate of the solve as well
@@ -241,7 +239,7 @@ def test_boundary_tilts_lie_in_the_ball(fam):
         j = dual_objective_variance(dp, data, p, fam, eta)
         assert abs(j - res.value) <= 1e-12 * (1.0 + abs(res.value))
         if dp.lam == 0.0:
-            assert optimality_diagnostics(dp, data, p, fam, eta, boundary=True) == res.diagnostics
+            assert optimality_diagnostics(dp, data, p, fam) == res.diagnostics
     assert boundary >= 10
 
 
@@ -263,7 +261,7 @@ def test_the_boundary_starts_where_the_ball_holds_p_on_the_top_atoms(fam):
         assert above.status == BOUNDARY_LAMBDA, param
         assert above.value == 1.0, param
         assert above.dual_point.lam == 0.0, param
-        assert above.tilt.weights.tolist() == [0.4, 0.6, 0.0], param
+        assert above.tilt.tolist() == [0.4, 0.6, 0.0], param
         below = variance_bound(data, p, fam, d * (1.0 - 1e-6), parameterization=param)
         assert below.status == CONVERGED, param
         assert below.dual_point.lam > 0.0, param
@@ -459,15 +457,6 @@ def test_the_generic_dual_point_reproduces_its_bound(fam):
 # work, and known defects
 
 
-def _solve_digest():
-    """scripts/solve_digest.py as a module, so a slice of its sweep cannot drift."""
-    path = Path(__file__).resolve().parents[1] / "scripts" / "solve_digest.py"
-    spec = importlib.util.spec_from_file_location("solve_digest", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_the_digest_slice_takes_few_root_steps():
     # values do not see a slower root: a doubled curvature or a cold first z
     # still converges, in 48,553 or 35,656 "auto" steps here, and a flipped
@@ -475,7 +464,7 @@ def test_the_digest_slice_takes_few_root_steps():
     # solves, "generic" (the instances with n <= GENERIC_MAX_N) 333,503 over
     # 502, where a cold or recomputed start of _general_mean takes 521,495 or
     # 508,230; the bounds leave about 1% and 2%
-    digest, steps = _solve_digest(), {"auto": 0, "generic": 0}
+    digest, steps = script_module("solve_digest"), {"auto": 0, "generic": 0}
     for _, data, p, eta in itertools.islice(digest.instances(), 100):
         kinds = ("auto", "generic") if len(p.weights) <= digest.GENERIC_MAX_N else ("auto",)
         for fam in digest.FAMILIES:
@@ -559,7 +548,7 @@ def test_repeated_solves_are_bit_identical():
     assert a.value == b.value
     assert a.dual_point == b.dual_point
     assert a.status == b.status
-    np.testing.assert_array_equal(a.tilt.weights, b.tilt.weights)
+    np.testing.assert_array_equal(a.tilt, b.tilt)
 
 
 @pytest.mark.parametrize("fam_a, fam_b", [(A_HALF, KL), (KL, A2)],
@@ -575,18 +564,18 @@ def test_no_solve_sees_another_solves_scratch(fam_a, fam_b):
     first = variance_bound(data_a, p_a, fam_a, 0.2)
     evaluate = _Evaluation(p_a, fam_a, 0.2, cfg, "auto")
     inner = evaluate(data_a, first.dual_point.nu)[1]
-    tilt_bytes, q_bytes = first.tilt.weights.tobytes(), inner.q.tobytes()
+    tilt_bytes, q_bytes = first.tilt.tobytes(), inner.q.tobytes()
     other = variance_bound(data_b, p_b, fam_b, 0.5)
     _Evaluation(p_b, fam_b, 0.5, cfg, "auto")(data_b, other.dual_point.nu)
-    assert first.tilt.weights.tobytes() == tilt_bytes
+    assert first.tilt.tobytes() == tilt_bytes
     assert inner.q.tobytes() == q_bytes
     again = variance_bound(data_a, p_a, fam_a, 0.2)
     assert again.value == first.value
     assert again.dual_point == first.dual_point
     assert again.diagnostics == first.diagnostics
     assert (again.status, again.iterations) == (first.status, first.iterations)
-    assert again.tilt.weights.tobytes() == tilt_bytes
-    arrays = [first.tilt.weights, again.tilt.weights, other.tilt.weights, inner.q]
+    assert again.tilt.tobytes() == tilt_bytes
+    arrays = [first.tilt, again.tilt, other.tilt, inner.q]
     for i, a in enumerate(arrays):
         for b in arrays[i + 1:] + [data_a.rho, data_a.phi, p_a.weights]:
             assert not np.shares_memory(a, b)
