@@ -3,8 +3,9 @@
 Every sum over atoms here, in dual_core's certificate and in the oracle,
 goes through _exact_sum, which returns math.fsum of the array: the correctly
 rounded sum, whatever the order of the atoms.  Below 1,000 atoms, and for
-non-finite or huge entries, it is math.fsum itself; above, a few numpy
-passes give the same double.
+non-finite or huge entries, it is math.fsum itself; above, one error-free
+extraction pass and a rounding check give the same double on almost all data,
+and further passes settle the rest.
 """
 
 from __future__ import annotations
@@ -55,6 +56,18 @@ def _exact_sum(x: np.ndarray) -> float:
     passes' q, sum(x) = sum(tau) exactly, and math.fsum(taus), correctly
     rounded, rounds the same real number as math.fsum(x).  An all-zero x
     also goes to math.fsum, which fixes the sign of a zero sum.
+
+    Early exit (the stopping test of the same paper, in this form): after
+    each pass sum(x) = sum(taus) + sum(r) exactly, and s = r.sum(), in any
+    order, errs by at most (n - 1) 2^-53 sum|r_i| (a sum that underflows is
+    exact), below B = 2 n^2 2^-106 sigma since |r_i| <= 2^-53 sigma.  So
+    sum(x) lies within B of T = sum(taus) + s, and since rounding is
+    monotone, when fsum rounds T - B and T + B to one nonzero double, that
+    double is fsum(x): the bits math.fsum returns, not a faithful
+    neighbour.  A subnormal B rounds to nearest, never below the largest
+    multiple of the smallest subnormal under it, and the error is such a
+    multiple.  A zero goes on to the next pass, because only the exact sum
+    fixes its sign.  One pass settles typical data.
     """
     n = x.size
     if n < _FAST_SUM_MIN:
@@ -67,11 +80,16 @@ def _exact_sum(x: np.ndarray) -> float:
     q = np.empty(n)
     r = x
     while big:
-        sigma = math.ldexp(1.0, m + math.frexp(big)[1])
+        e = math.frexp(big)[1]
+        sigma = math.ldexp(1.0, m + e)
         np.add(r, sigma, out=q)
         q -= sigma
         taus.append(float(q.sum()))
         r = r - q if r is x else np.subtract(r, q, out=r)
+        s, bound = float(r.sum()), math.ldexp(2.0 * n * n, m + e - 106)
+        total = math.fsum(taus + [s, -bound])
+        if total and total == math.fsum(taus + [s, bound]):
+            return total
         big = max(float(r.max()), -float(r.min()))
     return math.fsum(taus)
 

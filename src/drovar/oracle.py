@@ -4,10 +4,11 @@ for 2- or 3-atom problems only, by exact 1-D slices.
 The oracle shares no dual machinery: it evaluates the primal objective and
 the divergence (through f_eval) directly.  A slice fixes every weight but the
 last two, which are q_a = s and q_b = R - s.  On a slice the divergence is
-convex in s with its minimum at s = p_a R/(p_a + p_b), so the feasible s
-form an interval; `_ends` finds both ends by bracketed Newton roots.  The
-objective is a concave quadratic in s, so its maximum over that interval is
-closed-form.
+convex in s with its minimum at s* = p_a R/(p_a + p_b), so the feasible s
+form an interval [lo, hi] around s*.  The objective is a concave quadratic
+in s, so its maximum over that interval is its unconstrained maximizer
+clipped to [lo, hi]; the clip reaches lo only from below s* and hi only from
+above, so `_ends` finds just that end, by a bracketed Newton root.
 
 n = 2 is a single slice, R = 1.  For n = 3 the slice fixes q_1 = t.  The
 slice maximum h(t) is concave (a jointly concave function maximized over the
@@ -119,7 +120,7 @@ def primal_sup_grid(
 def _sup_slices(data, w, family, eta, g, rounds):
     """Max of h(t) over the feasible t, on a t-grid regridded `rounds` times
     around its best point: (value, q), value -inf when every slice is empty."""
-    (lo,), (hi,) = _ends(family, w[0], w[1] + w[2], np.ones(1), 0.0, eta)
+    lo, hi = _ends(family, w[0], w[1] + w[2], np.ones(1), 0.0, eta, np.array([False, True]))
     best_v, best_q = -math.inf, None
     for _ in range(rounds + 1):
         t = np.linspace(lo, hi, g)
@@ -140,7 +141,6 @@ def _slice_max(data, w, family, eta, head):
     k = len(head)
     R = 1.0 - head[0] if head else np.ones(1)
     base = w[0] * f_eval(family, head[0] / w[0]) if head else 0.0
-    lo, hi = _ends(family, w[k], w[k + 1], R, base, eta)
     # E_q[phi] = m0 + s*dphi, m0 from the fixed weights and R at the last atom;
     # the objective's s-derivative is dpsi - 2*dphi*E_q[phi]
     m0 = _column_sum((*head, R), [*data.phi[:k], data.phi[k + 1]])
@@ -150,8 +150,11 @@ def _slice_max(data, w, family, eta, head):
         if dphi != 0.0:
             s = (dpsi / (2.0 * dphi) - m0) / dphi
         else:
-            s = np.full_like(lo, math.inf if dpsi > 0.0 else -math.inf)
-    s = np.minimum(np.maximum(s, lo), hi)
+            s = np.full_like(R, math.inf if dpsi > 0.0 else -math.inf)
+    # min(max(s, lo), hi) with lo <= s* <= hi: max(s, lo) where s <= s*, else min(s, hi)
+    up = s > R * (w[k] / (w[k] + w[k + 1]))
+    end = _ends(family, w[k], w[k + 1], R, base, eta, up)
+    s = np.where(up, np.minimum(s, end), np.maximum(s, end))
     vals = _value_batch((*head, s, R - s), data)
     return np.where(np.isnan(s), -math.inf, vals), s
 
@@ -171,10 +174,11 @@ def _f_curv(family: FDivergenceFamily, x: np.ndarray) -> np.ndarray:
     return x ** (family.alpha - 2.0)
 
 
-def _ends(family, pa, pb, R, base, eta):
-    """Ends (lo, hi) of { s in [0, R] : (base + pa f(s/pa)) + pb f((R - s)/pb) <= eta },
-    elementwise over the array R and the scalar or array base; nan where the
-    set is empty as evaluated.
+def _ends(family, pa, pb, R, base, eta, up):
+    """One end of { s in [0, R] : (base + pa f(s/pa)) + pb f((R - s)/pb) <= eta },
+    the upper where the bool array up is set and the lower elsewhere,
+    elementwise over up broadcast with the array R and the scalar or array
+    base; nan where the set is empty as evaluated.
 
     The left side D(s) is convex with its minimum at s* = pa R/(pa + pb), so
     each end is an edge of [0, R] or a root on its side of s*.  Each root
@@ -188,33 +192,30 @@ def _ends(family, pa, pb, R, base, eta):
     divergence's scale.  A chord step then moves b to within about tol of
     the root; b is the end kept, so every end is feasible as evaluated.
     """
-    base = np.broadcast_to(base, R.shape)
     star = R * (pa / (pa + pb))
-    # lower ends first, then upper ends
-    R2, base2, star2 = (np.concatenate([x, x]) for x in (R, base, star))
-    edge = np.concatenate([np.zeros_like(R), R])
+    edge = np.where(up, R, 0.0)
 
     def excess(s):
-        return (base2 + pa * f_eval(family, s / pa)) + pb * f_eval(family, (R2 - s) / pb) - eta
+        return (base + pa * f_eval(family, s / pa)) + pb * f_eval(family, (R - s) / pb) - eta
 
     with np.errstate(all="ignore"):
-        g_edge, g_star = excess(edge), excess(star2)
-        tol = _RESIDUAL * (1.0 + eta + np.abs(base2))
+        g_edge, g_star = excess(edge), excess(star)
+        tol = _RESIDUAL * (1.0 + eta + np.abs(base))
         root = (g_edge > 0.0) & (g_star <= 0.0)
         busy = root.copy()
-        a, ga, b, gb = edge, g_edge, star2, g_star
+        a, ga, b, gb = edge, g_edge, star, g_star
         # first point: the chi-square guess, D(s) ~ D(s*) + D''(s*)(s - s*)^2/2
-        curv = _f_curv(family, R2 / (pa + pb)) * (1.0 / pa + 1.0 / pb)
-        side = np.sign(edge - star2)
-        x = star2 + side * np.sqrt(np.maximum(-2.0 * g_star / curv, 0.0))
-        x = np.where(side * (x - edge) < 0.0, x, 0.5 * (edge + star2))
+        curv = _f_curv(family, R / (pa + pb)) * (1.0 / pa + 1.0 / pb)
+        side = np.sign(edge - star)
+        x = star + side * np.sqrt(np.maximum(-2.0 * g_star / curv, 0.0))
+        x = np.where(side * (x - edge) < 0.0, x, 0.5 * (edge + star))
         for _ in range(_NEWTON_STEPS):
             gx = excess(x)
             a, ga, b, gb = _narrow(busy, x, gx, a, ga, b, gb)
             busy &= np.minimum(ga, -gb) > tol
             if not busy.any():
                 break
-            step = x - gx / (_f_slope(family, x / pa) - _f_slope(family, (R2 - x) / pb))
+            step = x - gx / (_f_slope(family, x / pa) - _f_slope(family, (R - x) / pb))
             x = np.where((step - a) * (b - step) > 0.0, step, 0.5 * (a + b))
             busy &= (x != a) & (x != b)
         # the chord aims at D - eta = -tol, which clears the rounding in D (by
@@ -222,8 +223,7 @@ def _ends(family, pa, pb, R, base, eta):
         x = a + np.minimum((ga + tol) / (ga - gb), 1.0) * (b - a)
         _, _, b, _ = _narrow(root, x, excess(x), a, ga, b, gb)
     end = np.where(root, b, edge)
-    end = np.where(g_star <= 0.0, end, math.nan)
-    return end[:R.size], end[R.size:]
+    return np.where(g_star <= 0.0, end, math.nan)
 
 
 def _narrow(mask, x, gx, a, ga, b, gb):

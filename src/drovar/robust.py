@@ -200,8 +200,10 @@ def _minimize(scenarios, constraint, family, eta, config) -> tuple[np.ndarray, B
 
 def _spg(x, nu, evaluate, project) -> np.ndarray:
     """The search loop of robust_minimize from the feasible x and any nu;
-    evaluate(x, nu) returns (F, dF/dx, dF/dnu, d^2F/dnu^2), project maps x
-    onto the constraint set.  Returns the last accepted x, or x if none was."""
+    evaluate(x, nu) returns (F, dF/dx, dF/dnu, d^2F/dnu^2), the last as a
+    zero-argument callable valid until the next evaluation, so a trial the
+    line search rejects never computes it; project maps x onto the
+    constraint set.  Returns the last accepted x, or x if none was."""
     f, g, gnu, d2 = evaluate(x, nu)
     evals = 1
     # first step: the projected gradient scaled to unit sup-norm
@@ -210,7 +212,7 @@ def _spg(x, nu, evaluate, project) -> np.ndarray:
     while evals < _MAX_EVALS:
         p = project(x - lam * g)
         d = p - x
-        dnorm, dnu = float(np.max(np.abs(d))), -gnu / d2
+        dnorm, dnu = float(np.max(np.abs(d))), -gnu / d2()
         # a short spectral step beside a kink is no stop while the unit one is long
         if (max(dnorm, abs(dnu)) <= _STEP_TOL
                 and float(np.max(np.abs(project(x - g) - x))) <= _STEP_TOL):

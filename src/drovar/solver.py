@@ -9,7 +9,8 @@ with psi = rho + phi^2 and M_f(u) = sup { E_Q[u] : D_f(Q, P) <= eta } the
 worst-case mean.  F is 1/2-strongly convex; by Danskin's theorem its
 derivative is G(nu) = nu/2 - E_{Q*}[phi], Q* the worst case of M_f, so G is
 increasing and its root lies in [2 min phi, 2 max phi].  The outer loop finds
-that root by safeguarded Newton steps, with G' from the curvature of M_f.
+that root by safeguarded Newton steps, with G' from the curvature of M_f,
+computed only where a step needs it.
 Each outer step decides the boundary by one rule for every kernel: with
 P_A = P conditioned on A = argmax u, if max u = min u or
 D_f(P_A || P) - eta <= inner_tol*eta, P_A is the worst case and
@@ -104,11 +105,12 @@ _Z_RANGE = 500.0  # exp(+-500) keeps every scaled coordinate finite and nonzero
 
 # The scratch block of a solve: row 0 holds u, and the kernel gets the list of
 # rows 1-5 as its rows[0:5], with v in rows[0] (_split); _curvature reuses
-# rows[0:3] after the kernel returns, so a kernel keeps its curv arrays out of
-# them.  One block, not an array per row: glibc returns freed arrays of 10^5
-# atoms to the OS and the next evaluation faults them in again, while a block
-# this size, once freed, raises glibc's mmap and trim thresholds so later
-# solves reuse its heap (scripts/bench.py records the faults per solve).
+# rows[0:3] after the kernel returns, when a search asks for F'', so a kernel
+# keeps its curv arrays out of them.  One block, not an array per row: glibc
+# returns freed arrays of 10^5 atoms to the OS and the next evaluation faults
+# them in again, while a block this size, once freed, raises glibc's mmap and
+# trim thresholds so later solves reuse its heap (scripts/bench.py records the
+# faults per solve).
 _SCRATCH_ROWS = 6
 
 
@@ -124,10 +126,12 @@ def _root(fn, x, lo, hi, tol, xscale, budget):
     """Root of an increasing function by safeguarded Newton or secant steps.
 
     fn(x) returns (g, dg, at): g < 0 below the root and g > 0 above it on
-    (lo, hi); dg its derivative, or None to use the secant through the last
-    two points; at what the caller needs from the evaluation.  Toward an end
-    no evaluated point bounds yet, the step grows by doubling; a step that
-    leaves the bracket, or does not halve within two steps, becomes a bisection.
+    (lo, hi); dg its derivative, or a zero-argument callable that computes it
+    (called only before a step, so the evaluation that meets tol never pays
+    for it), or None to use the secant through the last two points; at what
+    the caller needs from the evaluation.  Toward an end no evaluated point
+    bounds yet, the step grows by doubling; a step that leaves the bracket,
+    or does not halve within two steps, becomes a bisection.
 
     Returns (x, state, at), x the last point evaluated and at its evaluation.
     state is ROOT when |g(x)| <= tol; STALLED when no float lies between x and
@@ -145,7 +149,7 @@ def _root(fn, x, lo, hi, tol, xscale, budget):
             lo, seen_lo = x, True
         else:
             hi, seen_hi = x, True
-        slope = dg
+        slope = dg() if callable(dg) else dg
         if slope is None and xp is not None and g != gp:
             slope = (g - gp) / (x - xp)
         xp, gp = x, g
@@ -280,12 +284,10 @@ def _alpha_mean(top, v, span, w, family, eta, tol, budget, start, rows) -> Worst
         if sg > 0.0:
             np.maximum(rho, 0.0, out=rho)
         wr1 = np.multiply(w, np.power(rho, k - 1.0, out=rows[3]), out=rows[3])
-        wr2 = rows[4]
-        if sg > 0.0:
-            wr2.fill(0.0)
-            np.divide(wr1, rho, out=wr2, where=rho > 0.0)
-        else:
-            np.divide(wr1, rho, out=wr2)
+        # alpha > 1: where rho = 0, wr1 = w*0^(k-1) is 0 already, so dividing
+        # by rho + 1 there gives 0 with no 0/0, and rho + 0 elsewhere is rho
+        wr2 = np.add(rho, rho == 0.0, out=rows[4]) if sg > 0.0 else rho
+        wr2 = np.divide(wr1, wr2, out=rows[4])
         s1, sk, s2 = float(wr1.sum()), float(np.dot(wr1, rho)), float(wr2.sum())
         ck = _cexp(log_c + math.log(sk) / k)
         return (sg * (ck * s1 / sk - 1.0), sg * (k - 1.0) * ck * (s2 / sk - (s1 / sk) ** 2),
@@ -387,9 +389,11 @@ class _Evaluation:
 
     A call applies the boundary rule or else runs the kernel, warm-started
     from the previous call's root, and returns (F, m, F'', G): m the
-    worst-case-mean solve behind F, F'' = 1/2 + the curvature of M_f along
-    phi, or None where the kernel gives no curvature, and by Danskin's
-    theorem G = dF/dnu = nu/2 - E_Q[phi], Q = m.q.  u and rows are its
+    worst-case-mean solve behind F, F'' a zero-argument callable that
+    computes 1/2 + the curvature of M_f along phi, valid until the next call
+    (it reads the scratch block), or None where the kernel gives no
+    curvature, and by Danskin's theorem G = dF/dnu = nu/2 - E_Q[phi],
+    Q = m.q.  A search calls F'' only where it steps.  u and rows are its
     scratch block.  The kernel's root steps count in budget, or without one
     in a Budget(_MAX_STEPS) of the call's own.
     """
@@ -416,10 +420,11 @@ class _Evaluation:
                                 budget or Budget(_MAX_STEPS), self.z, self.rows)
         self.z = m.start
         value, grad = nu * nu / 4.0 + m.value, nu / 2.0 - float(np.dot(m.q, data.phi))
-        if m.boundary or m.curv is None:
-            return value, m, 0.5 if m.boundary else None, grad
+        if m.curv is None:
+            return value, m, (lambda: 0.5) if m.boundary else None, grad
         weights, factor = m.curv
-        return value, m, 0.5 + factor * _curvature(weights, self.u, data.phi, self.rows), grad
+        return (value, m, lambda: 0.5 + factor * _curvature(weights, self.u, data.phi, self.rows),
+                grad)
 
 
 def _status(state: str, inner: WorstMean) -> str:

@@ -281,6 +281,63 @@ def test_exact_sum_runs_numpy_passes_from_the_crossover(monkeypatch):
     assert isinstance(taus, list) and 1 <= len(taus) <= 4
 
 
+def test_exact_sum_settles_typical_data_in_one_pass(monkeypatch):
+    # one extraction pass and its rounding check: fsum sees the pass sum, the
+    # remainder's sum and -B, then +B, and nothing after
+    fsum = math.fsum
+    args = []
+
+    def recording(a):
+        args.append(a)
+        return fsum(a)
+
+    monkeypatch.setattr(math, "fsum", recording)
+    x = np.random.default_rng(3).dirichlet(np.ones(100_000))
+    assert _exact_sum(x) == fsum(x.tolist())
+    assert [len(a) for a in args] == [3, 3]
+    assert args[0][:2] == args[1][:2] and -args[0][2] == args[1][2] > 0.0
+
+
+def _early_exit_sweep():
+    """Seeded arrays whose sums sit at every hard spot of the rounding check:
+    mixed scales, cancellation down to an exact zero, exact and near ties
+    between two doubles, subnormals and signed zeros."""
+    arrays = []
+    for i in range(210):
+        rng = np.random.default_rng([47, i])
+        n = 100_000 if i % 30 == 0 else int(rng.integers(1_000, 5_001))
+        half = n // 2
+        kind = i % 6
+        if kind == 0:
+            x = rng.standard_normal(n) * 2.0 ** rng.integers(-1074, 900, n)
+        elif kind == 1:
+            pairs = rng.standard_normal(half) * 10.0 ** rng.uniform(-20, 20, half)
+            rest = rng.standard_normal(n - 2 * half) * (i % 4 != 1)
+            x = np.concatenate([pairs, -pairs, rest])
+        elif kind in (2, 3):
+            # top + ulp(top)/2 is an exact tie; kind 3 moves it by a hair
+            top = rng.uniform(1.0, 2.0) * 2.0 ** int(rng.integers(-60, 60))
+            hair = (0.0, math.ldexp(math.ulp(top), -int(rng.integers(40, 900))))
+            pairs = rng.standard_normal(half - 2) * top
+            x = np.concatenate([[top, math.ulp(top) / 2.0, hair[kind - 2]
+                                 * (1 if i % 4 < 2 else -1)], pairs, -pairs])
+        elif kind == 4:
+            x = rng.integers(-1000, 1000, n) * 5e-324
+            if i % 4 == 0:
+                x = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+            elif i % 4 == 2:
+                x[0] = 2.0**-1022
+        else:
+            x = rng.dirichlet(np.ones(n)) * 10.0 ** rng.choice([-300.0, 0.0, 300.0])
+        arrays.append(rng.permutation(x))
+    return arrays
+
+
+def test_exact_sum_is_fsum_on_a_seeded_sweep():
+    for x in _early_exit_sweep():
+        assert _fsum_outcome(_exact_sum, x) == _fsum_outcome(_fsum_list, x), x.size
+
+
 # ---------------------------------------------------------------------------
 # the variational gap E_Q[g] - E_P[f*(g)]
 

@@ -17,6 +17,7 @@ from drovar.divergences import alpha_family, kl_family
 from drovar.dual_core import (
     MEAN_CONDITION_TOL,
     NORMALIZATION_TOL,
+    _payoff,
     dual_objective_variance,
     optimality_diagnostics,
 )
@@ -451,6 +452,53 @@ def test_the_generic_dual_point_reproduces_its_bound(fam):
         res = variance_bound(data, p, fam, eta, parameterization="generic")
         j = dual_objective_variance(res.dual_point, data, p, fam, eta)
         assert abs(j - res.value) <= 1e-9 * (1.0 + abs(res.value))
+
+
+# ---------------------------------------------------------------------------
+# passes over the atoms that no result reads
+
+
+@pytest.mark.parametrize("fam", [KL, A_HALF, A2], ids=["kl", "alpha:0.5", "alpha:2"])
+def test_the_evaluation_that_ends_the_outer_root_computes_no_curvature(fam, monkeypatch):
+    # F'' is computed only where the outer root steps, so a Converged solve
+    # evaluates F once more than it computes a curvature
+    evaluations, curvatures = [], []
+    curvature = solver._curvature
+
+    class CountedEvaluation(_Evaluation):
+        def __call__(self, *args):
+            evaluations.append(None)
+            return super().__call__(*args)
+
+    def counted(*args):
+        curvatures.append(None)
+        return curvature(*args)
+
+    monkeypatch.setattr(solver, "_Evaluation", CountedEvaluation)
+    monkeypatch.setattr(solver, "_curvature", counted)
+    data, p = random_instance(np.random.default_rng(71), 100_000)
+    assert variance_bound(data, p, fam, 0.2).status == CONVERGED
+    assert len(evaluations) >= 2
+    assert len(curvatures) == len(evaluations) - 1
+
+
+@pytest.mark.parametrize("alpha", [2.0, 8.0])
+def test_the_alpha_kernel_weighs_atoms_below_beta_by_exact_zeros(alpha):
+    # beta cuts atoms off; their weight and their curvature weight are exact
+    # zeros, and no 0/0 on the way warns outside any errstate
+    fam = alpha_family(alpha)
+    data, p = random_instance(np.random.default_rng(73), 2000)
+    nu = variance_bound(data, p, fam, 0.5).dual_point.nu
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, m, d2, _ = _Evaluation(p, fam, 0.5, SolverConfig(), "auto")(data, nu)
+        assert math.isfinite(d2())
+    zero = m.q == 0.0
+    assert 0 < zero.sum() < zero.size
+    assert np.all(_payoff(data, nu)[zero] <= m.beta)
+    weights = m.curv[0]
+    np.testing.assert_array_equal(weights == 0.0, zero)
+    assert np.all(np.isfinite(weights))
 
 
 # ---------------------------------------------------------------------------
